@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 //
 // Drives the tune serve daemon with ramped concurrent client load and
-// reports requests/second, p50/p99 latency, the saturation point, and
-// the overload shed rate.  By default it hosts a TuneServer in-process
-// (ephemeral loopback TCP, spool under a temp dir); with --socket PATH
-// it drives an externally started daemon instead — that is the CI smoke
-// mode.
+// reports requests/second, p50 and tail latency, the saturation point,
+// and the overload shed rate.  The tail is the highest percentile (at
+// most p99) with at least ten requests beyond it, so a short stage never
+// reports a "p99" that is really its maximum.  By default it hosts a
+// TuneServer in-process (ephemeral loopback TCP, spool under a temp
+// dir); with --socket PATH it drives an externally started daemon
+// instead — that is the CI smoke mode.
 //
 // Emits machine-readable JSON (default BENCH_serve.json) for the CI
 // perf artifact.
@@ -25,6 +27,8 @@
 
 #include "serve/Client.h"
 #include "serve/Server.h"
+#include "support/Numeric.h"
+#include "support/Statistics.h"
 
 #include <algorithm>
 #include <atomic>
@@ -51,15 +55,19 @@ struct StageResult {
   double Seconds = 0;
   double Rps = 0;
   double P50Ms = 0;
-  double P99Ms = 0;
+  /// Tail percentile and its latency; TailPct is 0 (and the JSON says
+  /// null) when no percentile has ten requests beyond it.
+  unsigned TailPct = 0;
+  double TailMs = 0;
   double ShedRate = 0;
 };
 
-double percentile(std::vector<double> &Sorted, double P) {
-  if (Sorted.empty())
+/// The highest whole percentile, capped at 99, that leaves at least ten
+/// of \p Samples beyond it; 0 when there is none.
+unsigned tailPercentile(size_t Samples) {
+  if (Samples <= 10)
     return 0;
-  size_t Idx = size_t(P * double(Sorted.size() - 1) + 0.5);
-  return Sorted[std::min(Idx, Sorted.size() - 1)];
+  return unsigned(std::min<size_t>(99, 100 * (Samples - 10) / Samples));
 }
 
 /// One load stage: \p Clients concurrent connections, each looping
@@ -132,9 +140,14 @@ StageResult runStage(const std::string &SocketPath, uint16_t Port,
   R.Rps = R.Seconds > 0 ? double(R.Completed) / R.Seconds : 0;
   uint64_t Attempts = R.Completed + R.Shed;
   R.ShedRate = Attempts ? double(R.Shed) / double(Attempts) : 0;
-  std::sort(Latencies.begin(), Latencies.end());
-  R.P50Ms = percentile(Latencies, 0.50);
-  R.P99Ms = percentile(Latencies, 0.99);
+  SampleStats S;
+  for (double Ms : Latencies)
+    S.add(Ms);
+  if (!S.empty())
+    R.P50Ms = S.median();
+  R.TailPct = tailPercentile(S.count());
+  if (R.TailPct)
+    R.TailMs = S.quantile(R.TailPct / 100.0);
   return R;
 }
 
@@ -181,9 +194,15 @@ int main(int Argc, char **Argv) {
       OutPath = Argv[++I];
     else if (!std::strcmp(Argv[I], "--socket") && I + 1 < Argc)
       ExternalSocket = Argv[++I];
-    else if (!std::strcmp(Argv[I], "--seconds") && I + 1 < Argc)
-      StageSeconds = std::atof(Argv[++I]);
-    else if (!std::strcmp(Argv[I], "--tiny"))
+    else if (!std::strcmp(Argv[I], "--seconds") && I + 1 < Argc) {
+      Expected<double> V = parseDouble(Argv[++I]);
+      if (!V || *V <= 0) {
+        std::cerr << "error: --seconds wants a positive number, got '"
+                  << Argv[I] << "'\n";
+        return 2;
+      }
+      StageSeconds = *V;
+    } else if (!std::strcmp(Argv[I], "--tiny"))
       StageSeconds = 0.5;
   }
 
@@ -243,8 +262,10 @@ int main(int Argc, char **Argv) {
   for (unsigned Clients : Ramp) {
     StageResult R = runStage(ExternalSocket, Port, Clients, StageSeconds);
     std::cout << "clients=" << R.Clients << " rps=" << R.Rps
-              << " p50=" << R.P50Ms << "ms p99=" << R.P99Ms
-              << "ms shed_rate=" << R.ShedRate << " errors=" << R.Errors
+              << " requests=" << R.Completed << " p50=" << R.P50Ms << "ms";
+    if (R.TailPct)
+      std::cout << " p" << R.TailPct << "=" << R.TailMs << "ms";
+    std::cout << " shed_rate=" << R.ShedRate << " errors=" << R.Errors
               << "\n";
     Stages.push_back(R);
   }
@@ -289,7 +310,8 @@ int main(int Argc, char **Argv) {
         << ", \"errors\": " << R.Errors
         << ", \"rps\": " << fmtDouble(R.Rps)
         << ", \"p50_ms\": " << fmtDouble(R.P50Ms)
-        << ", \"p99_ms\": " << fmtDouble(R.P99Ms)
+        << ", \"tail_pct\": " << R.TailPct
+        << ", \"tail_ms\": " << (R.TailPct ? fmtDouble(R.TailMs) : "null")
         << ", \"shed_rate\": " << fmtDouble(R.ShedRate) << "}"
         << (I + 1 < Stages.size() ? "," : "") << "\n";
   }

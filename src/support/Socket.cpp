@@ -6,7 +6,6 @@
 
 #include "support/Socket.h"
 
-#include <algorithm>
 #include <utility>
 
 #ifndef _WIN32
@@ -15,6 +14,7 @@
 #include <csignal>
 #include <cstring>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -23,12 +23,14 @@
 
 using namespace g80;
 
-Socket::Socket(Socket &&Other) noexcept : Fd(std::exchange(Other.Fd, -1)) {}
+Socket::Socket(Socket &&Other) noexcept
+    : Fd(std::exchange(Other.Fd, -1)), Pending(std::move(Other.Pending)) {}
 
 Socket &Socket::operator=(Socket &&Other) noexcept {
   if (this != &Other) {
     close();
     Fd = std::exchange(Other.Fd, -1);
+    Pending = std::move(Other.Pending);
   }
   return *this;
 }
@@ -68,6 +70,7 @@ void Socket::close() {
     ::close(Fd);
     Fd = -1;
   }
+  Pending.clear();
 }
 
 namespace {
@@ -107,6 +110,14 @@ void suppressSigpipe() {
 }
 #endif
 
+/// Turns off Nagle's algorithm on TCP socket \p Fd (why: Socket.h).
+/// sendFrame writes each frame with one send, so Nagle has no small
+/// fragments to coalesce anyway.  Failure only costs latency.
+void setNoDelay(int Fd) {
+  int One = 1;
+  (void)::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+}
+
 } // namespace
 
 Expected<Unit> Socket::sendFrame(std::string_view Payload) {
@@ -139,13 +150,21 @@ Socket::Recv Socket::recvFrame(double TimeoutSeconds, std::string &Payload) {
   if (Fd < 0)
     return Recv::Error;
   auto Deadline = deadlineIn(TimeoutSeconds);
-  // Phase 1: the 4-byte prefix; phase 2: the payload.
-  unsigned char Prefix[4];
-  size_t Got = 0;
-  uint32_t Need = 0;
-  bool HavePrefix = false;
   Payload.clear();
   for (;;) {
+    // Buffered frames come first: poll cannot see them.
+    if (Pending.size() >= 4) {
+      auto *P = reinterpret_cast<const unsigned char *>(Pending.data());
+      uint32_t Need = (uint32_t(P[0]) << 24) | (uint32_t(P[1]) << 16) |
+                      (uint32_t(P[2]) << 8) | uint32_t(P[3]);
+      if (Need > MaxFrameBytes)
+        return Recv::Oversized;
+      if (Pending.size() - 4 >= Need) {
+        Payload.assign(Pending, 4, Need);
+        Pending.erase(0, 4 + size_t(Need));
+        return Recv::Frame;
+      }
+    }
     struct pollfd Pfd = {Fd, POLLIN, 0};
     int R = ::poll(&Pfd, 1, millisLeft(Deadline));
     if (R < 0) {
@@ -154,11 +173,9 @@ Socket::Recv Socket::recvFrame(double TimeoutSeconds, std::string &Payload) {
       return Recv::Error;
     }
     if (R == 0)
-      return Recv::Timeout;
-    char Chunk[4096];
-    size_t Want = !HavePrefix ? 4 - Got
-                              : std::min(size_t(Need) - Got, sizeof(Chunk));
-    ssize_t N = ::recv(Fd, Chunk, Want, 0);
+      return Recv::Timeout; // Pending keeps the partial frame.
+    char Chunk[16384];
+    ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
     if (N < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
         continue;
@@ -167,28 +184,9 @@ Socket::Recv Socket::recvFrame(double TimeoutSeconds, std::string &Payload) {
     if (N == 0) {
       // Orderly close is only clean at a frame boundary; EOF inside a
       // frame means the peer died mid-message.
-      return (!HavePrefix && Got == 0) ? Recv::Closed : Recv::Error;
+      return Pending.empty() ? Recv::Closed : Recv::Error;
     }
-    if (!HavePrefix) {
-      std::memcpy(Prefix + Got, Chunk, size_t(N));
-      Got += size_t(N);
-      if (Got == 4) {
-        Need = (uint32_t(Prefix[0]) << 24) | (uint32_t(Prefix[1]) << 16) |
-               (uint32_t(Prefix[2]) << 8) | uint32_t(Prefix[3]);
-        if (Need > MaxFrameBytes)
-          return Recv::Oversized;
-        HavePrefix = true;
-        Got = 0;
-        Payload.reserve(Need);
-        if (Need == 0)
-          return Recv::Frame;
-      }
-    } else {
-      Payload.append(Chunk, size_t(N));
-      Got += size_t(N);
-      if (Got == Need)
-        return Recv::Frame;
-    }
+    Pending.append(Chunk, size_t(N));
   }
 }
 
@@ -285,6 +283,8 @@ Expected<Socket> ListenSocket::acceptFor(double TimeoutSeconds) {
       return socketDiag(std::string("accept failed: ") +
                         std::strerror(errno));
     }
+    if (UnixPath.empty())
+      setNoDelay(Conn);
     return Socket::fromFd(Conn);
   }
 }
@@ -330,6 +330,8 @@ Expected<Socket> connectAddr(int Family, const struct sockaddr *Addr,
     ::close(Fd);
     return socketDiag("connect " + What + " failed: " + E);
   }
+  if (Family == AF_INET)
+    setNoDelay(Fd);
   return Socket::fromFd(Fd);
 }
 

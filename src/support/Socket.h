@@ -18,6 +18,13 @@
 /// transport error — because the daemon reacts differently to each
 /// (keep polling, drop the session, normal end, log and drop).
 ///
+/// Each Socket reads through its own buffer, so one recv usually yields
+/// a frame's prefix and payload together; bytes past the frame wait for
+/// the next call.  TCP sockets also set TCP_NODELAY: a request/reply
+/// exchange where one side writes twice in a row (the daemon's
+/// `accepted` then `result`) would otherwise stall the second write
+/// behind the peer's delayed ACK, about 40 ms on Linux.
+///
 /// On platforms without POSIX sockets, socketsSupported() is false and
 /// every operation fails with a SocketError diagnostic; callers gate on
 /// it the same way Subprocess callers gate on subprocessSupported().
@@ -67,13 +74,16 @@ public:
     Error,     ///< Transport failure (mid-frame EOF, I/O error); the
                ///< connection is unusable.
     Oversized, ///< The prefix announced a frame beyond MaxFrameBytes.
-               ///< The payload was not read, so the stream is still
+               ///< The payload is not waited for, so the stream is still
                ///< writable — the server sends a structured error reply
                ///< before dropping the session.
   };
 
   /// Waits up to \p TimeoutSeconds for one complete frame.  The budget
-  /// covers the whole frame (prefix and payload together).
+  /// covers the whole frame (prefix and payload together).  A timeout
+  /// keeps whatever part of the frame has arrived, so a caller polling
+  /// in short slices (the daemon's sessions, ServeClient::runShard)
+  /// resumes the frame on its next call instead of losing it.
   Recv recvFrame(double TimeoutSeconds, std::string &Payload);
 
   /// Closes the descriptor.  Idempotent.
@@ -87,6 +97,9 @@ private:
   explicit Socket(int Fd) : Fd(Fd) {}
 
   int Fd = -1;
+  /// Received bytes not yet returned: a frame a timeout cut short, or
+  /// frames that arrived behind the one last returned.
+  std::string Pending;
 };
 
 /// A listening endpoint.  Movable, not copyable; closing a Unix-domain

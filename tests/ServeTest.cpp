@@ -28,13 +28,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #ifndef _WIN32
@@ -755,6 +758,170 @@ TEST(ServeClientTest, OversizedDaemonFrameIsAClientError) {
       << Status.diag().Message;
   Fake.join();
   ::close(Listen);
+}
+
+//===--- Socket: resumable receive, no delayed-ACK stall ---------------------//
+
+/// A Socket under test plus a raw descriptor writing into it, over a
+/// Unix socketpair or loopback TCP: raw writes split and merge frames
+/// in ways sendFrame never does.
+struct RawFeed {
+  const char *Transport = "";
+  Socket Rx;
+  int Tx = -1;
+
+  RawFeed() = default;
+  RawFeed(RawFeed &&Other) noexcept
+      : Transport(Other.Transport), Rx(std::move(Other.Rx)),
+        Tx(std::exchange(Other.Tx, -1)) {}
+  ~RawFeed() {
+    if (Tx >= 0)
+      ::close(Tx);
+  }
+
+  void write(std::string_view Bytes) const {
+    ASSERT_EQ(::send(Tx, Bytes.data(), Bytes.size(), 0),
+              ssize_t(Bytes.size()));
+  }
+};
+
+std::vector<RawFeed> rawFeeds() {
+  std::vector<RawFeed> Feeds;
+  int Fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds) == 0) {
+    RawFeed F;
+    F.Transport = "socketpair";
+    F.Rx = Socket::fromFd(Fds[0]);
+    F.Tx = Fds[1];
+    Feeds.push_back(std::move(F));
+  }
+  Expected<ListenSocket> L = ListenSocket::listenTcp(0);
+  if (L) {
+    RawFeed F;
+    F.Transport = "tcp";
+    F.Tx = rawConnect(L->port());
+    Expected<Socket> Rx = L->acceptFor(5);
+    if (F.Tx >= 0 && Rx && Rx->valid()) {
+      F.Rx = Rx.takeValue();
+      Feeds.push_back(std::move(F));
+    }
+  }
+  return Feeds;
+}
+
+/// \p Payload with its 4-byte big-endian length prefix.
+std::string wireFrame(std::string_view Payload) {
+  uint32_t N = uint32_t(Payload.size());
+  std::string Wire = {char(N >> 24), char(N >> 16), char(N >> 8), char(N)};
+  Wire.append(Payload);
+  return Wire;
+}
+
+/// 126 payload bytes cycling through the alphabet, so any four of them
+/// misread as a length prefix announce far more than MaxFrameBytes.
+std::string letterPayload() {
+  std::string P;
+  for (int I = 0; I != 126; ++I)
+    P.push_back(char('a' + I % 26));
+  return P;
+}
+
+TEST(SocketTest, TimeoutMidFrameKeepsThePartialFrame) {
+  std::vector<RawFeed> Feeds = rawFeeds();
+  ASSERT_EQ(Feeds.size(), 2u);
+  for (RawFeed &F : Feeds) {
+    SCOPED_TRACE(F.Transport);
+    std::string Wire = wireFrame(letterPayload());
+    // Prefix and 10 of 126 payload bytes, then a slice runs out: the
+    // bytes already read must not be lost.
+    F.write(std::string_view(Wire).substr(0, 14));
+    std::string Got;
+    EXPECT_EQ(F.Rx.recvFrame(0.05, Got), Socket::Recv::Timeout);
+    F.write(std::string_view(Wire).substr(14));
+    ASSERT_EQ(F.Rx.recvFrame(5, Got), Socket::Recv::Frame);
+    EXPECT_EQ(Got, letterPayload());
+  }
+}
+
+TEST(SocketTest, TwoFramesInOneWriteComeOutAsTwo) {
+  std::vector<RawFeed> Feeds = rawFeeds();
+  ASSERT_EQ(Feeds.size(), 2u);
+  for (RawFeed &F : Feeds) {
+    SCOPED_TRACE(F.Transport);
+    F.write(wireFrame("{\"type\":\"first\"}") + wireFrame("") +
+            wireFrame(letterPayload()));
+    ::close(std::exchange(F.Tx, -1));
+    std::string Got;
+    ASSERT_EQ(F.Rx.recvFrame(5, Got), Socket::Recv::Frame);
+    EXPECT_EQ(Got, "{\"type\":\"first\"}");
+    ASSERT_EQ(F.Rx.recvFrame(5, Got), Socket::Recv::Frame);
+    EXPECT_EQ(Got, "");
+    ASSERT_EQ(F.Rx.recvFrame(5, Got), Socket::Recv::Frame);
+    EXPECT_EQ(Got, letterPayload());
+    // The writer closed after the last frame: a clean end, not an error.
+    EXPECT_EQ(F.Rx.recvFrame(5, Got), Socket::Recv::Closed);
+  }
+}
+
+TEST(SocketTest, PrefixSplitAcrossWritesYieldsOneFrame) {
+  std::vector<RawFeed> Feeds = rawFeeds();
+  ASSERT_EQ(Feeds.size(), 2u);
+  for (RawFeed &F : Feeds) {
+    SCOPED_TRACE(F.Transport);
+    std::string Wire = wireFrame(letterPayload());
+    F.write(std::string_view(Wire).substr(0, 2));
+    std::string Got;
+    EXPECT_EQ(F.Rx.recvFrame(0.05, Got), Socket::Recv::Timeout);
+    F.write(std::string_view(Wire).substr(2));
+    ASSERT_EQ(F.Rx.recvFrame(5, Got), Socket::Recv::Frame);
+    EXPECT_EQ(Got, letterPayload());
+    EXPECT_EQ(F.Rx.recvFrame(0.05, Got), Socket::Recv::Timeout);
+  }
+}
+
+/// Median over five trials of how long \p Reader waits for the second
+/// of two frames \p Writer sends 5 ms apart.  Each trial starts with a
+/// request/reply exchange, which puts the reader's end into delayed-ACK
+/// mode; the reader then only reads, so the first frame's ACK is held
+/// back, and with Nagle's algorithm on the second frame waits for it.
+double secondFrameWaitMs(Socket &Writer, Socket &Reader) {
+  std::vector<double> Ms;
+  std::string Got;
+  for (int Trial = 0; Trial != 5; ++Trial) {
+    EXPECT_TRUE(Writer.sendFrame("request").ok());
+    EXPECT_EQ(Reader.recvFrame(5, Got), Socket::Recv::Frame);
+    EXPECT_TRUE(Reader.sendFrame("reply").ok());
+    EXPECT_EQ(Writer.recvFrame(5, Got), Socket::Recv::Frame);
+
+    EXPECT_TRUE(Writer.sendFrame("{\"type\":\"accepted\"}").ok());
+    EXPECT_EQ(Reader.recvFrame(5, Got), Socket::Recv::Frame);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    auto T0 = std::chrono::steady_clock::now();
+    EXPECT_TRUE(Writer.sendFrame("{\"type\":\"result\"}").ok());
+    EXPECT_EQ(Reader.recvFrame(5, Got), Socket::Recv::Frame);
+    Ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - T0)
+                     .count());
+  }
+  std::sort(Ms.begin(), Ms.end());
+  return Ms[Ms.size() / 2];
+}
+
+TEST(SocketTest, BackToBackFramesAreNotHeldForADelayedAck) {
+  if (!socketsSupported())
+    GTEST_SKIP() << "no sockets on this platform";
+  Expected<ListenSocket> L = ListenSocket::listenTcp(0);
+  ASSERT_TRUE(L.ok());
+  Expected<Socket> Client = connectTcp(L->port());
+  ASSERT_TRUE(Client.ok());
+  Expected<Socket> Server = L->acceptFor(5);
+  ASSERT_TRUE(Server.ok() && Server->valid());
+  // Delayed ACK holds an ACK for ~40 ms on Linux; with TCP_NODELAY the
+  // second frame goes out at once and arrives in well under 1 ms.
+  EXPECT_LT(secondFrameWaitMs(*Server, *Client), 20.0)
+      << "accepted socket to client";
+  EXPECT_LT(secondFrameWaitMs(*Client, *Server), 20.0)
+      << "client to accepted socket";
 }
 
 //===--- Chaos: SIGKILL mid-request, restart, byte-identical results ----------//
