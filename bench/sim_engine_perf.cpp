@@ -15,12 +15,20 @@
 // engines (cycles, issued instructions, issue stalls, memory-queue wait,
 // blocks, and failure diagnostics), so this doubles as a whole-space
 // differential check and is safe to gate CI on: the perf floor in
-// .github/workflows/ci.yml parses the JSON emitted here and fails if the
-// event engine is ever slower than the scan engine on any app.
+// .github/workflows/nightly.yml parses the "apps" rows of the JSON emitted
+// here and fails if the event engine is ever slower than the scan engine
+// on any app.
+//
+// The full-size run also times a fixed seeded sample of 128 expressible
+// configurations from each app's large tier (SpaceTier::Large) and
+// reports them under their own "large_sample" key, with no speed floor:
+// the engines run close to even on cp and sad there.  Divergence on a
+// sampled point fails the run like divergence anywhere else.
 //
 // Flags:
 //   --app matmul|cp|sad|mri|all   which space(s) to time (default all)
-//   --tiny                        emulation-sized problems (CI smoke)
+//   --tiny                        emulation-sized problems, no large-tier
+//                                 sample (CI smoke)
 //   --out PATH                    JSON output (default BENCH_sim_engine.json)
 //
 //===----------------------------------------------------------------------===//
@@ -34,8 +42,10 @@
 #include "sim/Simulator.h"
 #include "support/Format.h"
 #include "support/Journal.h"
+#include "support/Random.h"
 #include "support/TextTable.h"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <functional>
@@ -124,12 +134,34 @@ EngineRun timeEngine(const std::vector<Variant> &Variants,
   return R;
 }
 
-AppResult benchApp(const std::string &Name, const TunableApp &App) {
+/// Flat indices of every expressible point of \p App's space.
+std::vector<uint64_t> expressibleIndices(const TunableApp &App) {
+  std::vector<uint64_t> Indices;
+  for (uint64_t I = 0, N = App.space().rawSize(); I != N; ++I)
+    if (App.isExpressible(App.space().pointAt(I)))
+      Indices.push_back(I);
+  return Indices;
+}
+
+/// A fixed seeded sample of \p N expressible flat indices (all of them if
+/// fewer), in index order.
+std::vector<uint64_t> sampleIndices(const TunableApp &App, size_t N) {
+  std::vector<uint64_t> Indices = expressibleIndices(App);
+  N = std::min(N, Indices.size());
+  Rng R(0x5eed);
+  for (size_t I = 0; I != N; ++I) // Partial Fisher-Yates.
+    std::swap(Indices[I], Indices[I + R.nextBelow(Indices.size() - I)]);
+  Indices.resize(N);
+  std::sort(Indices.begin(), Indices.end());
+  return Indices;
+}
+
+AppResult benchApp(const std::string &Name, const TunableApp &App,
+                   const std::vector<uint64_t> &Indices) {
   const MachineModel Machine = MachineModel::geForce8800Gtx();
   std::vector<Variant> Variants;
-  for (const ConfigPoint &P : App.space().enumerate()) {
-    if (!App.isExpressible(P))
-      continue;
+  for (uint64_t I : Indices) {
+    ConfigPoint P = App.space().pointAt(I);
     Variants.push_back({App.buildKernel(P), App.launch(P)});
   }
 
@@ -158,9 +190,7 @@ AppResult benchApp(const std::string &Name, const TunableApp &App) {
   return R;
 }
 
-void writeJson(const std::string &Path, const std::vector<AppResult> &Results) {
-  std::ostringstream OS;
-  OS << "{\n  \"bench\": \"sim_engine_perf\",\n  \"apps\": [\n";
+void writeRows(std::ostringstream &OS, const std::vector<AppResult> &Results) {
   for (size_t I = 0; I != Results.size(); ++I) {
     const AppResult &R = Results[I];
     auto PerSec = [](const EngineRun &E) {
@@ -180,7 +210,20 @@ void writeJson(const std::string &Path, const std::vector<AppResult> &Results) {
        << ", \"engines_match\": " << (R.EnginesMatch ? "true" : "false")
        << "}" << (I + 1 != Results.size() ? "," : "") << "\n";
   }
-  OS << "  ]\n}\n";
+}
+
+void writeJson(const std::string &Path, const std::vector<AppResult> &Results,
+               const std::vector<AppResult> &Large) {
+  std::ostringstream OS;
+  OS << "{\n  \"bench\": \"sim_engine_perf\",\n  \"apps\": [\n";
+  writeRows(OS, Results);
+  OS << "  ]";
+  if (!Large.empty()) {
+    OS << ",\n  \"large_sample\": [\n";
+    writeRows(OS, Large);
+    OS << "  ]";
+  }
+  OS << "\n}\n";
 
   std::ofstream File(Path, std::ios::trunc);
   if (!File) {
@@ -224,63 +267,74 @@ int main(int argc, char **argv) {
 
   struct Entry {
     const char *Name;
-    std::function<std::unique_ptr<TunableApp>()> Make;
+    std::function<std::unique_ptr<TunableApp>(SpaceTier)> Make;
   };
   std::vector<Entry> Apps = {
       {"matmul",
-       [&]() -> std::unique_ptr<TunableApp> {
-         return std::make_unique<MatMulApp>(Tiny ? MatMulProblem::emulation()
-                                                 : MatMulProblem::bench());
+       [&](SpaceTier Tier) -> std::unique_ptr<TunableApp> {
+         return std::make_unique<MatMulApp>(
+             Tiny ? MatMulProblem::emulation() : MatMulProblem::bench(), Tier);
        }},
       {"cp",
-       [&]() -> std::unique_ptr<TunableApp> {
-         return std::make_unique<CpApp>(Tiny ? CpProblem::emulation()
-                                             : CpProblem::bench());
+       [&](SpaceTier Tier) -> std::unique_ptr<TunableApp> {
+         return std::make_unique<CpApp>(
+             Tiny ? CpProblem::emulation() : CpProblem::bench(), Tier);
        }},
       {"sad",
-       [&]() -> std::unique_ptr<TunableApp> {
-         return std::make_unique<SadApp>(Tiny ? SadApp::emulationProblem()
-                                              : SadApp::benchProblem());
+       [&](SpaceTier Tier) -> std::unique_ptr<TunableApp> {
+         return std::make_unique<SadApp>(
+             Tiny ? SadApp::emulationProblem() : SadApp::benchProblem(), Tier);
        }},
       {"mri",
-       [&]() -> std::unique_ptr<TunableApp> {
-         return std::make_unique<MriFhdApp>(Tiny ? MriProblem::emulation()
-                                                 : MriProblem::bench());
+       [&](SpaceTier Tier) -> std::unique_ptr<TunableApp> {
+         return std::make_unique<MriFhdApp>(
+             Tiny ? MriProblem::emulation() : MriProblem::bench(), Tier);
        }},
   };
 
   std::cout << "=== Simulator engine throughput: scan vs event ===\n\n";
 
-  std::vector<AppResult> Results;
+  std::vector<AppResult> Results, Large;
   bool Ran = false;
   for (const Entry &E : Apps) {
     if (Which != "all" && Which != E.Name)
       continue;
     Ran = true;
-    std::unique_ptr<TunableApp> App = E.Make();
-    Results.push_back(benchApp(E.Name, *App));
+    std::unique_ptr<TunableApp> App = E.Make(SpaceTier::Small);
+    Results.push_back(benchApp(E.Name, *App, expressibleIndices(*App)));
+    if (!Tiny) {
+      App = E.Make(SpaceTier::Large);
+      Large.push_back(benchApp(E.Name, *App, sampleIndices(*App, 128)));
+    }
   }
   if (!Ran)
     usage();
 
-  TextTable T;
-  T.setHeader({"App", "Configs", "Scan cyc/s", "Event cyc/s", "Speedup",
-               "Match"});
   bool AllMatch = true;
-  for (const AppResult &R : Results) {
-    auto PerSec = [](const EngineRun &E) {
-      return E.Seconds > 0 ? double(E.SimCycles) / E.Seconds : 0;
-    };
-    double Speedup =
-        R.Event.Seconds > 0 ? R.Scan.Seconds / R.Event.Seconds : 0;
-    T.addRow({R.Name, fmtInt(uint64_t(R.Configs)), fmtSci(PerSec(R.Scan)),
-              fmtSci(PerSec(R.Event)), fmtDouble(Speedup, 2) + "x",
-              R.EnginesMatch ? "yes" : "NO"});
-    AllMatch &= R.EnginesMatch;
+  auto PrintTable = [&](const std::vector<AppResult> &Rows) {
+    TextTable T;
+    T.setHeader({"App", "Configs", "Scan cyc/s", "Event cyc/s", "Speedup",
+                 "Match"});
+    for (const AppResult &R : Rows) {
+      auto PerSec = [](const EngineRun &E) {
+        return E.Seconds > 0 ? double(E.SimCycles) / E.Seconds : 0;
+      };
+      double Speedup =
+          R.Event.Seconds > 0 ? R.Scan.Seconds / R.Event.Seconds : 0;
+      T.addRow({R.Name, fmtInt(uint64_t(R.Configs)), fmtSci(PerSec(R.Scan)),
+                fmtSci(PerSec(R.Event)), fmtDouble(Speedup, 2) + "x",
+                R.EnginesMatch ? "yes" : "NO"});
+      AllMatch &= R.EnginesMatch;
+    }
+    T.print(std::cout);
+  };
+  PrintTable(Results);
+  if (!Large.empty()) {
+    std::cout << "\nLarge tier, seeded sample:\n";
+    PrintTable(Large);
   }
-  T.print(std::cout);
 
-  writeJson(OutPath, Results);
+  writeJson(OutPath, Results, Large);
 
   if (!AllMatch) {
     std::cerr << "error: event engine diverged from scan engine\n";

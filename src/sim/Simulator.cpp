@@ -285,22 +285,30 @@ private:
   /// IssueCost right then (stalls, barrier waits, and clock jumps only add
   /// more), so a register defined with latency ReadyDelta is certainly
   /// ready once the issue costs of the ops executed since the definition
-  /// sum to ReadyDelta or more.  The analysis tracks, per register, an
-  /// upper bound on the cycles still remaining until it is ready
-  /// ("remaining slack"), decremented by each op's IssueCost; an operand
-  /// whose slack has provably reached zero is dead work and is dropped.
-  /// GlobalMem load destinations get an unknown (infinite) slack — their
-  /// ready time depends on the dynamic queue state — as does every
-  /// register at a point the analysis cannot prove tighter.  Loops are
-  /// handled as structured regions with a max-merge fixpoint at the loop
-  /// head (entry state joined with the back-edge state until stable, all
-  /// registers unknown if convergence takes implausibly long), so
-  /// loop-carried definitions — an accumulator written a full body length
-  /// before its next read — prune too, while a first iteration reading a
-  /// pre-loop definition stays conservative.  Pruning changes which
-  /// registers earliestIssue reads, never the cycle it computes, so
-  /// results stay bit-identical (the skipped reads are exactly those that
-  /// cannot exceed the running max's floor of the current cycle).
+  /// sum to ReadyDelta or more.  The analysis runs a counter Now over the
+  /// issue costs of the ops it has walked and stores, per register, an
+  /// upper bound on the counter position at which the register is ready
+  /// (its definition's Now plus ReadyDelta); an operand whose ready
+  /// position is at or below Now is dead work and is dropped.  GlobalMem
+  /// load destinations get an Unknown position — their ready time depends
+  /// on the dynamic queue state — as does every register at a point the
+  /// analysis cannot prove tighter.  Loops are handled as structured
+  /// regions with a max-merge fixpoint at the loop head (entry state
+  /// joined with the back-edge state until stable, all registers unknown
+  /// if convergence takes implausibly long), so loop-carried definitions —
+  /// an accumulator written a full body length before its next read —
+  /// prune too, while a first iteration reading a pre-loop definition
+  /// stays conservative.  Pruning changes which registers earliestIssue
+  /// reads, never the cycle it computes, so results stay bit-identical
+  /// (the skipped reads are exactly those that cannot exceed the running
+  /// max's floor of the current cycle).
+  ///
+  /// Cost: one pass is O(ops + regs).  An op touches only its own
+  /// operands and destination; positions never need decaying because Now
+  /// moves instead.  Only the loop-head join converts positions to
+  /// relative slack (position minus Now, floored at zero), once per
+  /// fixpoint pass.  A loop takes at most nine passes over its body (eight
+  /// fixpoint iterations plus the pruning pass), nested loops multiply.
   void pruneStaticReady() {
     if (Ops.empty() || NumRegs == 0)
       return;
@@ -309,22 +317,26 @@ private:
     for (size_t I = 0; I != Ops.size(); ++I)
       if (Ops[I].K == TraceEntry::Kind::LoopEnd)
         LoopEndOf[Ops[I].Match] = uint32_t(I);
-    std::vector<int64_t> Rem(NumRegs, 0); // Every register ready at launch.
-    analyzeRange(0, Ops.size(), Rem, /*Prune=*/true);
+    std::vector<int64_t> ReadyAt(NumRegs, 0); // Every register ready at launch.
+    int64_t Now = 0;
+    analyzeRange(0, Ops.size(), ReadyAt, Now, /*Prune=*/true);
   }
 
-  static constexpr int64_t UnknownRem =
-      std::numeric_limits<int64_t>::max() / 2;
+  /// Ready position, or loop-head slack, of a register whose ready time
+  /// the analysis cannot bound.  Exceeds every real position, so such an
+  /// operand is never pruned and always wins the join.
+  static constexpr int64_t Unknown = std::numeric_limits<int64_t>::max();
 
-  /// Transfer function for entries [Begin, End): updates \p Rem in place;
-  /// rewrites Score lists only when \p Prune (the stable final pass).
-  void analyzeRange(size_t Begin, size_t End, std::vector<int64_t> &Rem,
-                    bool Prune) {
+  /// Transfer function for entries [Begin, End): updates \p ReadyAt and
+  /// advances \p Now in place; rewrites Score lists only when \p Prune
+  /// (the stable final pass).
+  void analyzeRange(size_t Begin, size_t End, std::vector<int64_t> &ReadyAt,
+                    int64_t &Now, bool Prune) {
     for (size_t I = Begin; I < End; ++I) {
       DecodedOp &D = Ops[I];
       if (D.K == TraceEntry::Kind::LoopBegin) {
         size_t LoopEnd = LoopEndOf[I];
-        analyzeLoopBody(I + 1, LoopEnd, Rem, Prune);
+        analyzeLoopBody(I + 1, LoopEnd, ReadyAt, Now, Prune);
         I = LoopEnd; // The body ran at least once; resume past its end.
         continue;
       }
@@ -334,48 +346,59 @@ private:
         uint8_t Keep = 0;
         for (uint8_t J = 0; J != D.NumScore; ++J) {
           uint32_t R = D.Score[J];
-          if (Rem[R] > 0)
+          if (ReadyAt[R] > Now)
             D.Score[Keep++] = R;
         }
         D.NumScore = Keep;
       }
       if (D.HasDst)
-        Rem[D.Dst] = D.LC == LatencyClass::GlobalMem
-                         ? UnknownRem
-                         : int64_t(D.ReadyDelta);
-      int64_t Cost = D.IssueCost;
-      for (int64_t &V : Rem)
-        if (V != 0 && V < UnknownRem)
-          V = V <= Cost ? 0 : V - Cost;
+        ReadyAt[D.Dst] = D.LC == LatencyClass::GlobalMem
+                             ? Unknown
+                             : Now + int64_t(D.ReadyDelta);
+      Now += D.IssueCost;
     }
   }
 
   /// Loop-head fixpoint: joins the first-iteration entry state with the
-  /// back-edge state (per-register max — later ready is the conservative
-  /// direction) until stable, then runs the pruning pass over the body
-  /// with the stable state, which over-approximates every iteration.
-  void analyzeLoopBody(size_t Begin, size_t End, std::vector<int64_t> &Rem,
+  /// back-edge state (per-register max of the slack left at the head —
+  /// later ready is the conservative direction) until stable, then runs
+  /// the pruning pass over the body with the stable state, which
+  /// over-approximates every iteration.  Every pass starts at the head's
+  /// \p Now, so the slack Entry[R] becomes position Now + Entry[R].
+  void analyzeLoopBody(size_t Begin, size_t End,
+                       std::vector<int64_t> &ReadyAt, int64_t &Now,
                        bool Prune) {
-    std::vector<int64_t> Entry = Rem;
-    std::vector<int64_t> Out;
+    auto Slack = [](int64_t At, int64_t Pos) {
+      return At == Unknown ? Unknown : std::max<int64_t>(At - Pos, 0);
+    };
+    auto Enter = [&](const std::vector<int64_t> &Entry) {
+      for (size_t R = 0; R != Entry.size(); ++R)
+        ReadyAt[R] = Entry[R] == Unknown ? Unknown : Now + Entry[R];
+    };
+    std::vector<int64_t> Entry(ReadyAt.size());
+    for (size_t R = 0; R != Entry.size(); ++R)
+      Entry[R] = Slack(ReadyAt[R], Now);
     for (int Iter = 0;; ++Iter) {
       if (Iter == 8) { // Not converging: give up on this loop, soundly.
-        std::fill(Entry.begin(), Entry.end(), UnknownRem);
+        std::fill(Entry.begin(), Entry.end(), Unknown);
         break;
       }
-      Out = Entry;
-      analyzeRange(Begin, End, Out, /*Prune=*/false);
+      Enter(Entry);
+      int64_t BackEdge = Now;
+      analyzeRange(Begin, End, ReadyAt, BackEdge, /*Prune=*/false);
       bool Changed = false;
-      for (size_t R = 0; R != Entry.size(); ++R)
-        if (Out[R] > Entry[R]) {
-          Entry[R] = Out[R];
+      for (size_t R = 0; R != Entry.size(); ++R) {
+        int64_t Out = Slack(ReadyAt[R], BackEdge);
+        if (Out > Entry[R]) {
+          Entry[R] = Out;
           Changed = true;
         }
+      }
       if (!Changed)
         break;
     }
-    Rem = Entry;
-    analyzeRange(Begin, End, Rem, Prune);
+    Enter(Entry);
+    analyzeRange(Begin, End, ReadyAt, Now, Prune);
   }
 
   //===--- Periodic steady-state fast-forward (event engine) ----------------//

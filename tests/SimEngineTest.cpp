@@ -13,7 +13,9 @@
 // This suite hammers that contract with deterministic fuzzed traces
 // (random latency-class mixes, loop nests, barriers, divergent barriers,
 // occupancy shapes), the apps' emulation spaces, watchdog-budget edges,
-// and a whole-sweep journal comparison.
+// and a whole-sweep journal comparison.  Static operand pruning feeds
+// both cores the same scoreboard lists, so it also pins results: the
+// fuzz digest, large-tier configs, and reads at the pruning boundary.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,13 +23,19 @@
 
 #include "core/Search.h"
 #include "core/SweepDriver.h"
+#include "kernels/Cp.h"
 #include "kernels/MatMul.h"
+#include "kernels/MriFhd.h"
+#include "kernels/Sad.h"
 #include "ptx/Builder.h"
+#include "ptx/Parser.h"
+#include "support/Journal.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,28 +57,32 @@ struct Rng {
   uint64_t range(uint64_t N) { return next() % N; }
 };
 
+/// One simulation's observable outcome, flattened for comparison and
+/// hashing: every counter of a success, or the failure's code and message.
+std::string outcome(const Expected<SimResult> &R) {
+  if (!R.ok())
+    return "error " + std::to_string(int(R.diag().Code)) + " " +
+           R.diag().Message;
+  return "cycles=" + std::to_string(R->Cycles) +
+         " issued=" + std::to_string(R->IssuedWarpInstrs) +
+         " synth=" + std::to_string(R->SyntheticCtlInstrs) +
+         " stall=" + std::to_string(R->IssueStallCycles) +
+         " memwait=" + std::to_string(R->MemQueueWaitCycles) +
+         " blocks=" + std::to_string(R->BlocksRun) +
+         " bsm=" + std::to_string(R->Occ.BlocksPerSM);
+}
+
 /// Compares one simulation under both engines, including failure
 /// diagnostics (timeout/deadlock/occupancy must match code and message).
-void expectEnginesIdentical(const Kernel &K, const LaunchConfig &L,
-                            SimOptions Base = {}) {
+/// Returns the scan engine's outcome.
+std::string expectEnginesIdentical(const Kernel &K, const LaunchConfig &L,
+                                   SimOptions Base = {}) {
   SimOptions ScanO = Base, EventO = Base;
   ScanO.EngineSel = SimOptions::Engine::Scan;
   EventO.EngineSel = SimOptions::Engine::Event;
-  Expected<SimResult> S = simulateKernel(K, L, gtx(), ScanO);
-  Expected<SimResult> E = simulateKernel(K, L, gtx(), EventO);
-  ASSERT_EQ(S.ok(), E.ok());
-  if (!S.ok()) {
-    EXPECT_EQ(S.diag().Code, E.diag().Code);
-    EXPECT_EQ(S.diag().Message, E.diag().Message);
-    return;
-  }
-  EXPECT_EQ(S->Cycles, E->Cycles);
-  EXPECT_EQ(S->IssuedWarpInstrs, E->IssuedWarpInstrs);
-  EXPECT_EQ(S->SyntheticCtlInstrs, E->SyntheticCtlInstrs);
-  EXPECT_EQ(S->IssueStallCycles, E->IssueStallCycles);
-  EXPECT_EQ(S->MemQueueWaitCycles, E->MemQueueWaitCycles);
-  EXPECT_EQ(S->BlocksRun, E->BlocksRun);
-  EXPECT_EQ(S->Occ.BlocksPerSM, E->Occ.BlocksPerSM);
+  std::string Scan = outcome(simulateKernel(K, L, gtx(), ScanO));
+  EXPECT_EQ(Scan, outcome(simulateKernel(K, L, gtx(), EventO)));
+  return Scan;
 }
 
 /// Emits a random body: ALU/SFU chains, shared/const/tex/global accesses
@@ -160,13 +172,20 @@ TEST(SimEngine, DefaultEngineIsEvent) {
 }
 
 TEST(SimEngine, FuzzedTracesBitIdentical) {
+  // Both engines read the same statically pruned scoreboard lists, so
+  // agreeing with each other cannot catch a pruning bug.  The digest of
+  // all 200 outcomes is pinned, so a pruning change that moves any of
+  // their results fails here; the corpus has loop-carried definitions and
+  // nested loops for the loop-head fixpoint to get wrong.
   Rng R(0x9e3779b97f4a7c15ull);
+  std::string All;
   for (int Case = 0; Case != 200; ++Case) {
     Kernel K = fuzzKernel(R, /*AllowDivergentBar=*/false);
     LaunchConfig L = fuzzLaunch(R);
     SCOPED_TRACE("fuzz case " + std::to_string(Case));
-    expectEnginesIdentical(K, L);
+    All += expectEnginesIdentical(K, L) + "\n";
   }
+  EXPECT_EQ(fnv1a64(All), 0xcb2a57eaf3340cf9ull);
 }
 
 TEST(SimEngine, DivergentBarrierDeadlocksIdentically) {
@@ -179,9 +198,7 @@ TEST(SimEngine, DivergentBarrierDeadlocksIdentically) {
     SimOptions Base; // Modest budgets keep a deadlocked SM's run short.
     Base.MaxCycles = 1 << 22;
     Base.MaxIssues = 1 << 20;
-    Expected<SimResult> Probe = simulateKernel(K, L, gtx(), Base);
-    Failures += !Probe.ok();
-    expectEnginesIdentical(K, L, Base);
+    Failures += expectEnginesIdentical(K, L, Base).starts_with("error");
   }
   // The corpus must actually exercise the failure paths.
   EXPECT_GT(Failures, 0);
@@ -200,6 +217,99 @@ TEST(SimEngine, TightBudgetsTimeOutIdentically) {
     Tight.MaxIssues = 1 + R.range(5000);
     Tight.MaxCycles = 1 + R.range(50000);
     expectEnginesIdentical(K, L, Tight);
+  }
+}
+
+TEST(SimEngine, PruningBoundariesKeepTheirStalls) {
+  // Static operand pruning may drop an operand only once it is certainly
+  // ready; these two reads sit just inside that boundary and must stall.
+  // One warp, so no other warp's issues hide a stall.
+  //  - Straight line: the add reads %r2 six issue slots (24 cycles) after
+  //    its 28-cycle ALU definition, so it waits the last 4 cycles.
+  //  - Loop carried: the texture fetch at the bottom of the body feeds the
+  //    first add of the next trip, and its 124-cycle ready delay outlasts
+  //    the loop-control chain in between.  %r3's pre-loop definition is
+  //    long ready at the loop head, so only the loop-head join keeps %r3
+  //    on the scoreboard; a join that lost the back edge would prune it.
+  Expected<Kernel> K = parseKernel(R"(
+.entry boundaries (.param .texref t, .param .global .f32* y)
+{
+  mov %r3, 1.0;
+  mov %r0, %tid.x;
+  shl.b32 %r1, %r0, 2;
+  mov %r2, 0.0;
+  mul.f32 %r4, 3.0, 2.0;
+  mul.f32 %r5, 3.0, 2.0;
+  mul.f32 %r6, 3.0, 2.0;
+  mul.f32 %r7, 3.0, 2.0;
+  mul.f32 %r8, 3.0, 2.0;
+  add.f32 %r2, %r2, 1.0;
+  loop x16 {
+    add.f32 %r2, %r2, %r3;
+    ld.tex.f32 %r3, [t + %r1];
+  }
+  st.global.f32 [y + %r1], %r2;
+}
+)");
+  ASSERT_TRUE(K.ok()) << K.diag().Message;
+  EXPECT_EQ(expectEnginesIdentical(*K, LaunchConfig(Dim3(1), Dim3(32))),
+            "cycles=2084 issued=91 synth=48 stall=1720 memwait=0 blocks=1 "
+            "bsm=8");
+}
+
+std::unique_ptr<TunableApp> largeApp(const std::string &Name) {
+  if (Name == "matmul")
+    return std::make_unique<MatMulApp>(MatMulProblem::bench(),
+                                       SpaceTier::Large);
+  if (Name == "cp")
+    return std::make_unique<CpApp>(CpProblem::bench(), SpaceTier::Large);
+  if (Name == "sad")
+    return std::make_unique<SadApp>(SadApp::benchProblem(), SpaceTier::Large);
+  return std::make_unique<MriFhdApp>(MriProblem::bench(), SpaceTier::Large);
+}
+
+TEST(SimEngine, LargeTierResultsPinned) {
+  // Unrolled large-tier kernels are where static operand pruning has the
+  // most to prune: cp [2,16,16,8,128,1] is the largest trace in any space
+  // (68,436 ops, 51,920 registers).  Pinned like the fuzz digest, at the
+  // committed problem sizes.
+  const struct {
+    const char *App;
+    ConfigPoint P;
+    const char *Outcome;
+  } Pins[] = {
+      {"matmul", {16, 2, 2, 16, 1, 1},
+       "cycles=2571632 issued=594176 synth=12288 stall=194928 "
+       "memwait=8435840 blocks=16 bsm=1"},
+      {"matmul", {4, 4, 8, 2, 1, 2},
+       "cycles=13146130 issued=908384 synth=36864 stall=9512594 "
+       "memwait=1236750064 blocks=32 bsm=8"},
+      {"cp", {8, 4, 4, 8, 128, 1},
+       "cycles=4296500 issued=303640 synth=48 stall=2295508 "
+       "memwait=278936 blocks=4 bsm=3"},
+      {"cp", {4, 4, 16, 8, 32, 0},
+       "cycles=7492116 issued=545566 synth=96 stall=3736988 "
+       "memwait=8189328 blocks=2 bsm=2"},
+      {"cp", {2, 16, 16, 8, 128, 1},
+       "cycles=7490268 issued=272734 synth=12 stall=5612900 "
+       "memwait=2023168 blocks=1 bsm=1"},
+      {"sad", {32, 8, 2, 4, 4},
+       "cycles=900970 issued=190720 synth=3072 stall=138090 "
+       "memwait=155212 blocks=256 bsm=8"},
+      {"sad", {160, 6, 2, 4, 4},
+       "cycles=1462862 issued=364800 synth=5760 stall=3662 "
+       "memwait=3400000 blocks=128 bsm=4"},
+      {"mri", {256, 32, 16},
+       "cycles=1454188 issued=265024 synth=1536 stall=876 "
+       "memwait=144448 blocks=8 bsm=2"},
+  };
+  for (const auto &Pin : Pins) {
+    std::unique_ptr<TunableApp> App = largeApp(Pin.App);
+    SCOPED_TRACE(std::string(Pin.App) + " " + App->space().describe(Pin.P));
+    ASSERT_TRUE(App->isExpressible(Pin.P));
+    EXPECT_EQ(expectEnginesIdentical(App->buildKernel(Pin.P),
+                                     App->launch(Pin.P)),
+              Pin.Outcome);
   }
 }
 
