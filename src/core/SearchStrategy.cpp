@@ -6,18 +6,11 @@
 
 #include "core/SearchStrategy.h"
 
-#include "core/EvalRecord.h"
 #include "support/ErrorHandling.h"
 #include "support/Random.h"
-#include "support/ThreadPool.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <fstream>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace g80;
 
@@ -431,14 +424,6 @@ private:
   double BestFit = std::numeric_limits<double>::infinity();
 };
 
-Diagnostic adaptiveError(std::string Msg) {
-  return makeDiag(ErrorCode::JournalError, Stage::Parse, std::move(Msg));
-}
-
-bool fileExists(const std::string &Path) {
-  return std::ifstream(Path).good();
-}
-
 } // namespace
 
 std::unique_ptr<SearchCursor>
@@ -458,8 +443,8 @@ g80::makeSearchCursor(StrategyKind Kind, const ConfigSpace &Space,
   default:
     break;
   }
-  reportFatalError("plannable strategies run through SweepDriver, not a "
-                   "cursor");
+  reportFatalError("plannable strategies have an up-front plan; use "
+                   "planForStrategy");
 }
 
 //===--- The adaptive runner --------------------------------------------------//
@@ -469,261 +454,8 @@ SweepReport g80::runAdaptiveSweep(const SearchEngine &Engine,
                                   const StrategyOptions &Strategy,
                                   const SweepOptions &Opts) {
   const Evaluator &Eval = Engine.evaluator();
-  SweepReport Rep;
-  SearchOutcome &Out = Rep.Outcome;
-  Out.Strategy = strategyName(Kind);
-
-  auto Fail = [&](Diagnostic Err) {
-    Rep.Status = SweepStatus::Error;
-    Rep.Error = std::move(Err);
-    return std::move(Rep);
-  };
-  auto Warn = [&](std::string Msg) {
-    Rep.Warnings.push_back(std::move(Msg));
-  };
-
   std::unique_ptr<SearchCursor> Cursor = makeSearchCursor(
       Kind, Eval.app().space(), Eval.expressibleIndices(), Strategy);
-
-  //--- Journal setup (and replay queue). ----------------------------------//
-  JournalWriter Writer;
-  std::deque<std::string> Replay;
-  if (!Opts.JournalPath.empty()) {
-    bool Exists = fileExists(Opts.JournalPath);
-    if (Opts.Resume && Exists) {
-      Expected<JournalContents> C = readJournal(Opts.JournalPath);
-      if (!C)
-        return Fail(C.takeDiag());
-      if (!C->Header.matches(Opts.Fingerprint))
-        return Fail(adaptiveError(
-            "journal '" + Opts.JournalPath +
-            "' was written by a different sweep (app/machine/strategy/"
-            "seed/injection fingerprint mismatch); refusing to resume"));
-      Rep.TornTailDropped = C->DroppedTornTail;
-      if (C->DroppedTornTail)
-        Warn("dropped a torn final journal record (the kill point); "
-             "that configuration will be re-measured");
-      Replay.assign(C->Records.begin(), C->Records.end());
-      Expected<JournalWriter> W =
-          JournalWriter::append(Opts.JournalPath, C->ValidBytes);
-      if (!W)
-        return Fail(W.takeDiag());
-      Writer = W.takeValue();
-    } else {
-      if (Opts.Resume && !Exists)
-        Warn("journal '" + Opts.JournalPath +
-             "' does not exist yet; starting a fresh sweep");
-      Expected<JournalWriter> W =
-          JournalWriter::create(Opts.JournalPath, Opts.Fingerprint);
-      if (!W)
-        return Fail(W.takeDiag());
-      Writer = W.takeValue();
-    }
-  }
-
-  //--- Round loop. --------------------------------------------------------//
-  std::unordered_map<uint64_t, size_t> PosOf;  // flat -> position in Evals.
-  std::unordered_map<uint64_t, ProbeResult> Known; // fed probe outcomes.
-  uint64_t TotalRecords = 0; // Journaled attempts incl. replayed (budget).
-  size_t FreshRecords = 0;   // Journaled by this run (test-hook counter).
-  const uint64_t Budget = std::max<uint64_t>(1, Strategy.Budget);
-  // Backstop against cursors that can only re-propose memoized points
-  // (possible once a small space is fully explored): rounds past this are
-  // treated as convergence, never an error.
-  const uint64_t RoundLimit = 256 + 16 * Budget;
-  unsigned Jobs = std::max(1u, Opts.Jobs);
-
-  auto StopRequested = [&] {
-    return sweepInterruptRequested() ||
-           (Opts.ShouldStop && Opts.ShouldStop());
-  };
-  auto MeasureOnly = [&](ConfigEval &E) {
-    FaultAction A = Eval.injector().actionAt(E.FlatIndex);
-    if (A != FaultAction::None) {
-      E.Failure = makeDiag(A == FaultAction::Crash ? ErrorCode::WorkerCrashed
-                                                   : ErrorCode::WorkerTimeout,
-                           Stage::Simulate,
-                           std::string("injected ") +
-                               (A == FaultAction::Crash ? "crash" : "hang") +
-                               " (simulated in-process) (config #" +
-                               std::to_string(E.FlatIndex) + ")");
-    } else {
-      Eval.measure(E); // Failure lands on E on false.
-    }
-  };
-  // Books a measured-or-quarantined eval into the outcome, the journal,
-  // progress, and the interrupt test hook — the adaptive twin of the
-  // driver's committer.
-  auto Commit = [&](size_t Pos, bool FromReplay) {
-    ConfigEval &E = Out.Evals[Pos];
-    if (E.failed()) {
-      Out.noteQuarantined(Pos);
-      traceCount("sweep.quarantined");
-    } else if (E.Measured) {
-      Out.Candidates.push_back(Pos);
-      Out.noteMeasured(Pos);
-      traceCount("sweep.measured");
-    }
-    ++TotalRecords;
-    Known[E.FlatIndex] =
-        ProbeResult{E.FlatIndex, E.Measured && !E.failed(), E.TimeSeconds};
-    if (FromReplay) {
-      ++Rep.ResumedSkipped;
-      return;
-    }
-    if (Writer.isOpen()) {
-      TraceSpan Span("journal", E.FlatIndex);
-      Expected<Unit> W = Writer.appendRecord(EvalRecord::fromEval(E).toJson());
-      if (!W) {
-        Warn("journal write failed (" + W.diag().Message +
-             "); continuing without durability");
-        Writer.close();
-      } else {
-        traceCount("sweep.journal_records");
-      }
-    }
-    ++FreshRecords;
-    if (Opts.OnProgress) {
-      SweepProgress P;
-      P.Done = size_t(TotalRecords);
-      P.FreshDone = FreshRecords;
-      P.Total = size_t(Budget);
-      P.Quarantined = Out.Quarantined.size();
-      Opts.OnProgress(P);
-    }
-    if (Opts.InterruptAfterRecords != 0 &&
-        FreshRecords == Opts.InterruptAfterRecords)
-      requestSweepInterrupt();
-  };
-
-  if (Opts.Isolate)
-    Warn("process isolation is not supported for adaptive strategies; "
-         "running in-process");
-
-  bool Interrupted = false;
-  uint64_t Round = 0;
-  for (;;) {
-    if (StopRequested()) {
-      Interrupted = true;
-      break;
-    }
-    if (TotalRecords >= Budget)
-      break; // Allowance spent (possibly entirely during replay).
-    std::vector<uint64_t> Proposals = Cursor->nextRound();
-    if (Proposals.empty())
-      break; // Cursor converged.
-    if (++Round > RoundLimit) {
-      Warn("adaptive search hit the round backstop (" +
-           std::to_string(RoundLimit) + " rounds); stopping");
-      break;
-    }
-
-    // Unique proposals in first-appearance order; statics for the ones
-    // never probed before.
-    std::vector<uint64_t> Fresh;
-    {
-      std::unordered_set<uint64_t> Seen;
-      for (uint64_t Flat : Proposals)
-        if (Seen.insert(Flat).second && !PosOf.count(Flat))
-          Fresh.push_back(Flat);
-    }
-    if (!Fresh.empty()) {
-      std::vector<ConfigEval> NewEvals = Eval.evaluateSubset(Fresh, Jobs);
-      for (ConfigEval &E : NewEvals) {
-        size_t Pos = Out.Evals.size();
-        PosOf.emplace(E.FlatIndex, Pos);
-        Out.Evals.push_back(std::move(E));
-        const ConfigEval &Placed = Out.Evals.back();
-        if (Placed.usable()) {
-          ++Out.ValidCount;
-        } else {
-          // Static rejects are deterministic and cheaply recomputed, so
-          // they are fed to the cursor but never journaled or budgeted.
-          if (Placed.failed())
-            Out.noteQuarantined(Pos);
-          Known[Placed.FlatIndex] =
-              ProbeResult{Placed.FlatIndex, false, 0};
-        }
-      }
-    }
-
-    // The round's measurement work list: usable, not yet probed.
-    std::vector<size_t> ToMeasure;
-    {
-      std::unordered_set<uint64_t> Seen;
-      for (uint64_t Flat : Proposals) {
-        if (!Seen.insert(Flat).second || Known.count(Flat))
-          continue;
-        size_t Pos = PosOf.at(Flat);
-        if (Out.Evals[Pos].usable())
-          ToMeasure.push_back(Pos);
-      }
-    }
-
-    // Replay prefix: journaled attempts must match the regenerated
-    // sequence exactly, or the journal belongs to a different run.
-    size_t Replayed = 0;
-    while (Replayed != ToMeasure.size() && !Replay.empty()) {
-      Expected<EvalRecord> R = EvalRecord::fromJson(Replay.front());
-      if (!R)
-        return Fail(R.takeDiag());
-      ConfigEval &E = Out.Evals[ToMeasure[Replayed]];
-      if (R->Index != E.FlatIndex || R->Point != E.Point)
-        return Fail(adaptiveError(
-            "journal record for config #" + std::to_string(R->Index) +
-            " does not match the regenerated search sequence; refusing "
-            "to resume"));
-      Replay.pop_front();
-      R->applyTo(E);
-      Commit(ToMeasure[Replayed], /*FromReplay=*/true);
-      ++Replayed;
-    }
-    ToMeasure.erase(ToMeasure.begin(), ToMeasure.begin() + Replayed);
-
-    // Budget truncation: measure only what fits; exhaustion completes the
-    // search (the strategy spent its allowance).
-    bool BudgetExhausted = false;
-    if (TotalRecords + ToMeasure.size() >= Budget) {
-      ToMeasure.resize(size_t(Budget - TotalRecords));
-      BudgetExhausted = true;
-    }
-
-    // Measure in parallel into disjoint slots, then commit strictly in
-    // round order so journal bytes are identical at any job count.
-    if (Jobs > 1 && ToMeasure.size() > 1) {
-      ThreadPool Pool(unsigned(std::min<size_t>(Jobs, ToMeasure.size())));
-      parallelFor(Pool, ToMeasure.size(), 1,
-                  [&](size_t I) { MeasureOnly(Out.Evals[ToMeasure[I]]); });
-    } else {
-      for (size_t Pos : ToMeasure)
-        MeasureOnly(Out.Evals[Pos]);
-    }
-    for (size_t Pos : ToMeasure) {
-      if (StopRequested()) {
-        Interrupted = true;
-        break;
-      }
-      Commit(Pos, /*FromReplay=*/false);
-    }
-    if (Interrupted || BudgetExhausted)
-      break;
-
-    // Feed the cursor every proposal's outcome, in proposal order.
-    std::vector<ProbeResult> Feed;
-    Feed.reserve(Proposals.size());
-    for (uint64_t Flat : Proposals)
-      Feed.push_back(Known.at(Flat));
-    Cursor->feed(Feed);
-  }
-
-  if (!Interrupted && !Replay.empty())
-    return Fail(adaptiveError(
-        "journal holds more records than the regenerated search replays; "
-        "refusing to resume"));
-
-  std::sort(Out.Quarantined.begin(), Out.Quarantined.end());
-  Writer.close();
-  Rep.Status =
-      Interrupted ? SweepStatus::Interrupted : SweepStatus::Completed;
-  return Rep;
+  return SweepDriver(Engine, Opts).run(
+      *Cursor, std::max<uint64_t>(1, Strategy.Budget), strategyName(Kind));
 }

@@ -5,23 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The strategy registry over large configuration spaces.  Two families:
+/// The strategy registry over large configuration spaces.  Two families,
+/// one executor:
 ///
 ///  - **Plannable** strategies (exhaustive, pareto, cluster, random)
-///    decide their full candidate set up front from static metrics alone.
-///    They produce a SweepPlan and run through the existing SweepDriver,
-///    so journaling, resume, `--jobs`, process isolation, serve and fleet
-///    all apply unchanged.
+///    decide their full candidate set up front from static metrics alone
+///    and produce a SweepPlan.
 ///
 ///  - **Adaptive** strategies (greedy, anneal, genetic) decide each next
 ///    probe from earlier measurements.  They are expressed as a
-///    SearchCursor — a deterministic generator of probe *rounds* — and
-///    executed by runAdaptiveSweep, which measures each round (in
-///    parallel, committing strictly in round order), journals every
-///    measurement attempt, and replays the journal against the
-///    regenerated rounds on resume.  The journal format and fingerprint
-///    header are the same as the driver's, so `tune report` and the
-///    resume/byte-identity guarantees carry over.
+///    SearchCursor (core/SweepDriver.h) — a deterministic generator of
+///    probe *rounds*.
+///
+/// SweepDriver runs both: a plan is a one-round cursor over its
+/// candidates.  So journaling, resume, `--jobs`, process isolation and
+/// serve apply to every strategy; only the fleet refuses adaptive ones,
+/// which cannot be sharded up front.
 ///
 /// Everything is seeded-deterministic: the same (app, machine, strategy,
 /// seed, budget, space) always probes the same configurations in the same
@@ -58,8 +57,8 @@ const char *strategyName(StrategyKind Kind);
 /// Parses a strategy name; returns false on anything unknown.
 bool parseStrategy(std::string_view Name, StrategyKind &Kind);
 
-/// Whether the strategy has an up-front candidate plan (SweepDriver
-/// path).  Adaptive strategies go through runAdaptiveSweep instead.
+/// Whether the strategy has an up-front candidate plan
+/// (planForStrategy).  Adaptive strategies run through runAdaptiveSweep.
 bool strategyIsPlannable(StrategyKind Kind);
 
 /// Whether --budget participates in the strategy (and its fingerprint).
@@ -84,29 +83,6 @@ struct StrategyOptions {
 SweepPlan planForStrategy(const SearchEngine &Engine, StrategyKind Kind,
                           const StrategyOptions &Opts);
 
-/// One probe outcome fed back to an adaptive cursor.
-struct ProbeResult {
-  uint64_t FlatIndex = 0;
-  /// The configuration measured successfully.  False covers inexpressible
-  /// points, resource-invalid executables, and quarantined measurements —
-  /// the cursor only needs "no usable time here".
-  bool Usable = false;
-  double TimeSeconds = 0; ///< Valid only when Usable.
-};
-
-/// A deterministic adaptive search: nextRound() proposes a batch of flat
-/// indices to probe, feed() delivers their results (parallel to the
-/// proposal list), and an empty round ends the search.  Cursor state must
-/// depend only on the seed and the fed results — never on wall clock,
-/// job count, or journal state — so a resumed run regenerates the exact
-/// probe sequence.
-class SearchCursor {
-public:
-  virtual ~SearchCursor() = default;
-  virtual std::vector<uint64_t> nextRound() = 0;
-  virtual void feed(const std::vector<ProbeResult> &Round) = 0;
-};
-
 /// Builds the cursor for an adaptive \p Kind.  \p Expressible is the
 /// app's expressible flat-index screen (Evaluator::expressibleIndices).
 /// Fatal if \p Kind is plannable.
@@ -115,12 +91,11 @@ makeSearchCursor(StrategyKind Kind, const ConfigSpace &Space,
                  std::vector<uint64_t> Expressible,
                  const StrategyOptions &Opts);
 
-/// Runs an adaptive strategy durably — the SweepDriver analog for
-/// cursor-driven searches.  Honors SweepOptions journaling/resume/Jobs/
-/// progress/stop hooks (Isolate is not supported and ignored); budget
-/// counts journaled measurement attempts, including replayed ones, so an
-/// interrupted run resumes into the same total.  The journal bytes are
-/// identical for any job count.
+/// Runs an adaptive strategy durably: makeSearchCursor plus
+/// SweepDriver::run with the strategy's budget (0 acts as 1).  Honors
+/// every SweepOptions knob; budget counts journaled measurement attempts,
+/// including replayed ones, so an interrupted run resumes into the same
+/// total.  The journal bytes are identical for any job count.
 SweepReport runAdaptiveSweep(const SearchEngine &Engine, StrategyKind Kind,
                              const StrategyOptions &Strategy,
                              const SweepOptions &Opts);

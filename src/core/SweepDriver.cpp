@@ -22,6 +22,7 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 using namespace g80;
 
@@ -89,22 +90,27 @@ void sleepSeconds(double S) {
     std::this_thread::sleep_for(std::chrono::duration<double>(S));
 }
 
-/// Everything run() threads through its helpers.
+/// Everything drive() threads through its helpers.
 struct DriveState {
   SweepReport Rep;
   const SearchEngine &Engine;
   const SweepOptions &Opts;
   JournalWriter Writer;
-  /// Flat indices already completed (journaled or freshly finished).
-  std::unordered_set<uint64_t> Done;
+  /// The sweep's record allowance (a plan's candidate count).
+  uint64_t Budget;
+  /// Records committed so far, replayed ones included.
+  uint64_t Records = 0;
   /// Per-flat-index worker failure count (for the retry-once policy).
   std::unordered_map<uint64_t, unsigned> Attempts;
   /// Records committed by this run (excludes resume replay) — drives the
   /// InterruptAfterRecords test hook.
   size_t FreshRecords = 0;
+  /// Configurations per forked worker, validated once per sweep.
+  size_t ShardSize = 1;
 
-  DriveState(const SearchEngine &Engine, const SweepOptions &Opts)
-      : Engine(Engine), Opts(Opts) {}
+  DriveState(const SearchEngine &Engine, const SweepOptions &Opts,
+             uint64_t Budget)
+      : Engine(Engine), Opts(Opts), Budget(Budget) {}
 
   SearchOutcome &out() { return Rep.Outcome; }
 
@@ -139,26 +145,37 @@ struct DriveState {
     }
   }
 
-  /// Books a finished eval into the outcome and the journal.
-  void complete(size_t Idx) {
+  /// Folds a finished (or replayed) eval into the outcome: successful
+  /// measurements join Candidates in commit order.
+  void book(size_t Idx) {
     ConfigEval &E = out().Evals[Idx];
     if (E.failed()) {
       out().noteQuarantined(Idx);
+    } else if (E.Measured) {
+      out().Candidates.push_back(Idx);
+      out().noteMeasured(Idx);
+    }
+    ++Records;
+  }
+
+  /// Books a finished eval into the outcome and the journal.
+  void complete(size_t Idx) {
+    book(Idx);
+    const ConfigEval &E = out().Evals[Idx];
+    if (E.failed()) {
       traceCount("sweep.quarantined");
     } else if (E.Measured) {
-      out().noteMeasured(Idx);
       traceCount("sweep.measured");
       if (E.Sim.BandwidthFastPath)
         traceCount("sweep.fastbw");
     }
-    Done.insert(E.FlatIndex);
     journal(E);
     ++FreshRecords;
     if (Opts.OnProgress) {
       SweepProgress P;
-      P.Done = Done.size();
+      P.Done = size_t(Records);
       P.FreshDone = FreshRecords;
-      P.Total = out().Candidates.size();
+      P.Total = size_t(Budget);
       P.Quarantined = out().Quarantined.size();
       Opts.OnProgress(P);
     }
@@ -171,7 +188,7 @@ struct DriveState {
   /// crash/hang actions are converted to quarantine diagnostics —
   /// actually crashing would defeat the graceful degradation this path
   /// exists for.  Thread-safe on distinct evals: this is what parallel
-  /// workers run, with commitment left to the plan-order committer.
+  /// workers run, with commitment left to the round-order committer.
   void measureOnly(ConfigEval &E) const {
     FaultAction A = Engine.evaluator().injector().actionAt(E.FlatIndex);
     if (A != FaultAction::None) {
@@ -268,26 +285,9 @@ void runShardInWorker(const SearchEngine &Engine,
   }
 }
 
-/// Runs the remaining candidates in forked shard workers.  Returns false
-/// when interrupted.
+/// Runs a round's remaining candidates in forked shard workers.  Returns
+/// false when interrupted.
 bool runIsolated(DriveState &D, std::deque<size_t> &Todo) {
-  // Validate the shard size once, against the real remaining work:
-  // oversubscription (a shard larger than the candidate list) would just
-  // put everything into one worker, which is rarely what the caller
-  // meant, so cap it and say so instead of silently obliging.
-  size_t ShardSize = D.Opts.ShardSize;
-  if (ShardSize == 0) {
-    D.warn("--shard 0 is invalid; using 1");
-    ShardSize = 1;
-  }
-  if (!Todo.empty() && ShardSize > Todo.size()) {
-    D.warn("--shard " + std::to_string(ShardSize) + " exceeds the " +
-           std::to_string(Todo.size()) +
-           " remaining candidates; capping the shard size at the "
-           "candidate count");
-    ShardSize = Todo.size();
-  }
-
   while (!Todo.empty()) {
     if (D.stopRequested())
       return false;
@@ -296,7 +296,7 @@ bool runIsolated(DriveState &D, std::deque<size_t> &Todo) {
     // worker, after a backoff, so a subsequent failure is unambiguously
     // its own fault.
     bool IsRetry = D.Attempts[D.out().Evals[Todo.front()].FlatIndex] > 0;
-    size_t N = IsRetry ? 1 : std::min(ShardSize, Todo.size());
+    size_t N = IsRetry ? 1 : std::min(D.ShardSize, Todo.size());
     if (!IsRetry) {
       // Never mix a to-be-retried config into a fresh shard mid-queue.
       for (size_t I = 1; I < N; ++I)
@@ -416,10 +416,10 @@ bool runInProcess(DriveState &D, std::deque<size_t> &Todo) {
   return true;
 }
 
-/// The parallel in-process path.  Workers measure candidates into their
-/// own (disjoint) Evals slots in whatever order the pool schedules them;
-/// this thread is the single committer, folding results into the outcome
-/// and the journal strictly in plan order.  Commit order is what the
+/// The parallel in-process path.  Workers measure a round into their own
+/// (disjoint) Evals slots in whatever order the pool schedules them; this
+/// thread is the single committer, folding results into the outcome and
+/// the journal strictly in round order.  Commit order is what the
 /// journal format, noteMeasured's first-wins tie-breaking, and the
 /// floating-point accumulation of TotalMeasuredSeconds all depend on, so
 /// pinning it makes the sweep's journal and SearchOutcome bit-identical
@@ -482,11 +482,64 @@ bool runInProcessParallel(DriveState &D, std::deque<size_t> &Todo,
   return !Interrupted;
 }
 
+/// Validates the shard size once per sweep, against the work the budget
+/// leaves after the journaled records: a shard larger than that would
+/// just put everything into one worker, which is rarely what the caller
+/// meant, so cap it and say so instead of silently obliging.
+size_t validShardSize(DriveState &D, uint64_t Remaining) {
+  size_t ShardSize = D.Opts.ShardSize;
+  if (ShardSize == 0) {
+    D.warn("--shard 0 is invalid; using 1");
+    ShardSize = 1;
+  }
+  if (Remaining != 0 && ShardSize > Remaining) {
+    D.warn("--shard " + std::to_string(ShardSize) + " exceeds the " +
+           std::to_string(Remaining) +
+           " remaining candidates; capping the shard size at the "
+           "candidate count");
+    ShardSize = size_t(Remaining);
+  }
+  return ShardSize;
+}
+
+/// A plan as a cursor: one round proposing every candidate in plan order.
+class PlanCursor final : public SearchCursor {
+public:
+  explicit PlanCursor(const SweepPlan &Plan) {
+    for (size_t Idx : Plan.Candidates)
+      Flat.push_back(Plan.Evals[Idx].FlatIndex);
+  }
+  std::vector<uint64_t> nextRound() override { return std::exchange(Flat, {}); }
+  void feed(const std::vector<ProbeResult> &) override {}
+
+private:
+  std::vector<uint64_t> Flat;
+};
+
 } // namespace
 
 SweepReport SweepDriver::run(SweepPlan Plan) const {
-  DriveState D(Engine, Opts);
-  D.out() = SearchOutcome::fromPlan(std::move(Plan));
+  PlanCursor Cursor(Plan);
+  uint64_t Budget = Plan.Candidates.size();
+  SearchOutcome Seed = SearchOutcome::fromPlan(std::move(Plan));
+  std::vector<size_t> Candidates = std::exchange(Seed.Candidates, {});
+  SweepReport Rep = drive(std::move(Seed), Cursor, Budget);
+  // A plan's candidates are the plan, quarantined ones included.
+  Rep.Outcome.Candidates = std::move(Candidates);
+  return Rep;
+}
+
+SweepReport SweepDriver::run(SearchCursor &Cursor, uint64_t Budget,
+                             std::string Strategy) const {
+  SearchOutcome Seed;
+  Seed.Strategy = std::move(Strategy);
+  return drive(std::move(Seed), Cursor, Budget);
+}
+
+SweepReport SweepDriver::drive(SearchOutcome Seed, SearchCursor &Cursor,
+                               uint64_t Budget) const {
+  DriveState D(Engine, Opts, Budget);
+  D.out() = std::move(Seed);
 
   auto Fail = [&](Diagnostic Err) {
     D.Rep.Status = SweepStatus::Error;
@@ -494,18 +547,14 @@ SweepReport SweepDriver::run(SweepPlan Plan) const {
     return std::move(D.Rep);
   };
 
-  std::unordered_set<uint64_t> CandidateFlat;
-  for (size_t Idx : D.out().Candidates)
-    CandidateFlat.insert(D.out().Evals[Idx].FlatIndex);
-
-  // Journal records address configurations by flat index.  Exhaustive
-  // plans are dense (position == flat index), but budgeted strategies
-  // carry only the planned subset in Evals, so replay has to translate.
-  std::unordered_map<uint64_t, size_t> PosOfFlat;
+  // Journal records and cursors address configurations by flat index, but
+  // sparse plans and searches hold only a subset of the space in Evals.
+  std::unordered_map<uint64_t, size_t> PosOf;
   for (size_t I = 0; I != D.out().Evals.size(); ++I)
-    PosOfFlat.emplace(D.out().Evals[I].FlatIndex, I);
+    PosOf.emplace(D.out().Evals[I].FlatIndex, I);
 
-  //--- Journal setup (and resume replay). ---------------------------------//
+  //--- Journal setup. -----------------------------------------------------//
+  std::vector<std::string> Replay;
   if (!Opts.JournalPath.empty()) {
     bool Exists = fileExists(Opts.JournalPath);
     if (Opts.Resume && Exists) {
@@ -521,27 +570,7 @@ SweepReport SweepDriver::run(SweepPlan Plan) const {
       if (C->DroppedTornTail)
         D.warn("dropped a torn final journal record (the kill point); "
                "that configuration will be re-measured");
-      for (const std::string &Payload : C->Records) {
-        Expected<EvalRecord> R = EvalRecord::fromJson(Payload);
-        if (!R)
-          return Fail(R.takeDiag());
-        auto PosIt = PosOfFlat.find(R->Index);
-        if (PosIt == PosOfFlat.end() || !CandidateFlat.count(R->Index) ||
-            D.out().Evals[PosIt->second].Point != R->Point)
-          return Fail(sweepError(
-              "journal record for config #" + std::to_string(R->Index) +
-              " does not match the planned sweep; refusing to resume"));
-        if (D.Done.count(R->Index))
-          continue;
-        ConfigEval &E = D.out().Evals[PosIt->second];
-        R->applyTo(E);
-        if (E.failed())
-          D.out().noteQuarantined(PosIt->second);
-        else if (E.Measured)
-          D.out().noteMeasured(PosIt->second);
-        D.Done.insert(R->Index);
-      }
-      D.Rep.ResumedSkipped = D.Done.size();
+      Replay = std::move(C->Records);
       Expected<JournalWriter> W =
           JournalWriter::append(Opts.JournalPath, C->ValidBytes);
       if (!W)
@@ -559,28 +588,124 @@ SweepReport SweepDriver::run(SweepPlan Plan) const {
     }
   }
 
-  //--- Measurement phase. -------------------------------------------------//
-  std::deque<size_t> Todo;
-  for (size_t Idx : D.out().Candidates)
-    if (!D.Done.count(D.out().Evals[Idx].FlatIndex))
-      Todo.push_back(Idx);
-
-  bool Finished;
+  //--- Execution mode, chosen once per sweep. -----------------------------//
   unsigned Jobs = std::max(1u, Opts.Jobs);
-  if (Opts.Isolate && subprocessSupported()) {
+  bool Isolated = Opts.Isolate && subprocessSupported();
+  if (Isolated) {
     if (Jobs > 1)
       D.warn("--jobs is ignored with --isolate (isolation workers are "
              "processes, one shard at a time)");
-    Finished = runIsolated(D, Todo);
-  } else {
-    if (Opts.Isolate) {
-      D.Rep.DegradedInProcess = true;
-      D.warn("process isolation is unavailable on this platform; "
-             "running in-process");
-    }
-    Finished = Jobs > 1 ? runInProcessParallel(D, Todo, Jobs)
-                        : runInProcess(D, Todo);
+    D.ShardSize =
+        validShardSize(D, Budget - std::min<uint64_t>(Budget, Replay.size()));
+  } else if (Opts.Isolate) {
+    D.Rep.DegradedInProcess = true;
+    D.warn("process isolation is unavailable on this platform; "
+           "running in-process");
   }
+  auto Measure = [&](std::deque<size_t> &Todo) {
+    if (Isolated)
+      return runIsolated(D, Todo);
+    if (Jobs > 1 && Todo.size() > 1)
+      return runInProcessParallel(D, Todo, Jobs);
+    return runInProcess(D, Todo);
+  };
+
+  //--- The round loop. ----------------------------------------------------//
+  // Backstop against cursors that can only re-propose memoized points
+  // (possible once a small space is fully explored): rounds past this are
+  // treated as convergence, never an error.
+  const uint64_t RoundLimit = 256 + 16 * Budget;
+  size_t Replayed = 0;
+  bool Finished = true;
+  for (uint64_t Round = 0; D.Records < Budget;) {
+    std::vector<uint64_t> Proposals = Cursor.nextRound();
+    if (Proposals.empty())
+      break; // Converged (a plan after its one round).
+    if (++Round > RoundLimit) {
+      D.warn("adaptive search hit the round backstop (" +
+             std::to_string(RoundLimit) + " rounds); stopping");
+      break;
+    }
+
+    // Unique proposals in first-appearance order; statics for the ones
+    // never proposed before.
+    std::vector<uint64_t> Unique, Fresh;
+    std::unordered_set<uint64_t> Seen;
+    for (uint64_t Flat : Proposals)
+      if (Seen.insert(Flat).second) {
+        Unique.push_back(Flat);
+        if (!PosOf.count(Flat))
+          Fresh.push_back(Flat);
+      }
+    if (!Fresh.empty()) {
+      for (ConfigEval &E : Engine.evaluator().evaluateSubset(Fresh, Jobs)) {
+        size_t Pos = D.out().Evals.size();
+        PosOf.emplace(E.FlatIndex, Pos);
+        D.out().Evals.push_back(std::move(E));
+        // Static rejects are deterministic and cheaply recomputed, so they
+        // are fed to the cursor but never journaled or budgeted.
+        if (D.out().Evals[Pos].usable())
+          ++D.out().ValidCount;
+        else if (D.out().Evals[Pos].failed())
+          D.out().noteQuarantined(Pos);
+      }
+    }
+
+    // The round's work: usable and not yet measured.  A commit either
+    // measures a configuration or quarantines it (making it unusable), so
+    // memoized probes drop out here.
+    std::deque<size_t> Todo;
+    for (uint64_t Flat : Unique) {
+      size_t Pos = PosOf.at(Flat);
+      const ConfigEval &E = D.out().Evals[Pos];
+      if (E.usable() && !E.Measured)
+        Todo.push_back(Pos);
+    }
+
+    // Budget truncation: the round that reaches the budget is the last.
+    bool BudgetSpent = D.Records + Todo.size() >= Budget;
+    if (BudgetSpent)
+      Todo.resize(size_t(Budget - D.Records));
+
+    // Replay: the journal must be a strict prefix of commit order, or it
+    // belongs to a different sweep.
+    while (!Todo.empty() && Replayed != Replay.size()) {
+      Expected<EvalRecord> R = EvalRecord::fromJson(Replay[Replayed]);
+      if (!R)
+        return Fail(R.takeDiag());
+      ConfigEval &E = D.out().Evals[Todo.front()];
+      if (R->Index != E.FlatIndex || R->Point != E.Point)
+        return Fail(sweepError(
+            "journal record for config #" + std::to_string(R->Index) +
+            " does not match the sweep's commit order; refusing to resume"));
+      R->applyTo(E);
+      D.book(Todo.front());
+      Todo.pop_front();
+      ++Replayed;
+    }
+
+    if (!Measure(Todo)) {
+      Finished = false;
+      break;
+    }
+    if (BudgetSpent)
+      break;
+
+    // Feed the cursor every proposal's outcome, in proposal order.
+    std::vector<ProbeResult> Feed;
+    Feed.reserve(Proposals.size());
+    for (uint64_t Flat : Proposals) {
+      const ConfigEval &E = D.out().Evals[PosOf.at(Flat)];
+      Feed.push_back(ProbeResult{Flat, E.Measured && !E.failed(),
+                                 E.TimeSeconds});
+    }
+    Cursor.feed(Feed);
+  }
+
+  if (Replayed != Replay.size())
+    return Fail(sweepError("journal holds more records than the sweep "
+                           "replays; refusing to resume"));
+  D.Rep.ResumedSkipped = Replayed;
 
   // Deterministic regardless of execution/replay order, so interrupted +
   // resumed sweeps compare equal to uninterrupted ones.

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The durable sweep-execution layer.  A SweepDriver takes a SweepPlan
-/// (the cheap static phase of a strategy) and runs the expensive
-/// measurement phase with three protections the in-memory SearchEngine
-/// loop lacks:
+/// The durable sweep-execution layer: the one measurement loop of every
+/// strategy.  A SearchCursor proposes rounds of configurations (a
+/// SweepPlan is a one-round cursor); the driver measures each round with
+/// three protections the in-memory SearchEngine loop lacks:
 ///
 ///  - **Write-ahead journal** (support/Journal.h): every completed
 ///    evaluation — measured or quarantined — is appended as a checksummed,
@@ -16,16 +16,17 @@
 ///    loss at any instant forfeits at most the configuration in flight.
 ///
 ///  - **Resume**: with SweepOptions::Resume, a journal whose fingerprint
-///    header matches the plan is replayed — already-completed
-///    configurations are restored (bit-identical times) and skipped; a
-///    torn final record from the kill point is truncated away.  A journal
-///    from a different app/machine/strategy/seed/injection is rejected.
+///    header matches is replayed as a prefix of the regenerated commit
+///    order — completed configurations are restored (bit-identical times)
+///    and skipped; a torn final record from the kill point is truncated
+///    away.  A journal from a different app/machine/strategy/seed/
+///    injection, or with records out of that order, is rejected.
 ///
 ///  - **Process isolation** (support/Subprocess.h): with
-///    SweepOptions::Isolate, workers are forked per shard of candidates
-///    and stream records back over a pipe.  A worker that segfaults,
-///    exits nonzero, or blows its per-configuration wall-clock budget
-///    costs only the in-flight configuration, which is retried once (with
+///    SweepOptions::Isolate, workers are forked per shard of a round and
+///    stream records back over a pipe.  A worker that segfaults, exits
+///    nonzero, or blows its per-configuration wall-clock budget costs
+///    only the in-flight configuration, which is retried once (with
 ///    backoff, in a fresh worker) before being quarantined as a
 ///    Simulate-stage WorkerCrashed/WorkerTimeout failure.  Where fork is
 ///    unavailable the sweep degrades to in-process execution with a
@@ -51,6 +52,29 @@
 
 namespace g80 {
 
+/// One probe outcome fed back to a cursor.
+struct ProbeResult {
+  uint64_t FlatIndex = 0;
+  /// The configuration measured successfully.  False covers inexpressible
+  /// points, resource-invalid executables, and quarantined measurements —
+  /// the cursor only needs "no usable time here".
+  bool Usable = false;
+  double TimeSeconds = 0; ///< Valid only when Usable.
+};
+
+/// A deterministic search: nextRound() proposes a batch of flat indices
+/// to probe, feed() delivers their results (parallel to the proposal
+/// list), and an empty round ends the search.  Cursor state must depend
+/// only on the seed and the fed results — never on wall clock, job count,
+/// or journal state — so a resumed run regenerates the exact probe
+/// sequence.
+class SearchCursor {
+public:
+  virtual ~SearchCursor() = default;
+  virtual std::vector<uint64_t> nextRound() = 0;
+  virtual void feed(const std::vector<ProbeResult> &Round) = 0;
+};
+
 /// One progress observation, emitted from the committer after every
 /// completed (measured or quarantined) record.  Counts include
 /// journal-resumed configurations, so Done/Total is the sweep's true
@@ -59,7 +83,7 @@ namespace g80 {
 struct SweepProgress {
   size_t Done = 0;       ///< Candidates completed, including resumed.
   size_t FreshDone = 0;  ///< Candidates completed by this run.
-  size_t Total = 0;      ///< Planned candidates.
+  size_t Total = 0;      ///< Planned candidates, or the search budget.
   size_t Quarantined = 0;
 };
 
@@ -84,19 +108,20 @@ struct SweepOptions {
   BackoffPolicy RetryBackoff;
   /// Fingerprint written to (and checked against) the journal header.
   JournalHeader Fingerprint;
-  /// Worker threads for the in-process measurement path (1 = serial).
-  /// Workers measure candidates into disjoint slots while the calling
-  /// thread commits results strictly in plan order, so the journal bytes,
-  /// SearchOutcome totals, best-config tie-breaking, and quarantine
-  /// accounting are bit-identical for every job count.  Ignored (with a
-  /// warning when > 1) under Isolate — those workers are processes.
+  /// Worker threads for static evaluation and the in-process measurement
+  /// path (1 = serial).  Workers measure a round into disjoint slots while
+  /// the calling thread commits results strictly in round order, so the
+  /// journal bytes, SearchOutcome totals, best-config tie-breaking, and
+  /// quarantine accounting are bit-identical for every job count.
+  /// Measurement ignores it (with a warning when > 1) under Isolate —
+  /// those workers are processes.
   unsigned Jobs = 1;
   /// Test hook: request a graceful interrupt (as SIGTERM would) after
   /// this many freshly committed records, 0 = never.  Lets tests land a
   /// deterministic mid-sweep kill point under any job count.
   size_t InterruptAfterRecords = 0;
   /// Observer called from the committer thread after each completed
-  /// record (`tune search --progress`).  Runs strictly in plan order and
+  /// record (`tune search --progress`).  Runs strictly in commit order and
   /// must not mutate sweep state; it cannot affect results, journal
   /// bytes, or quarantine accounting.
   std::function<void(const SweepProgress &)> OnProgress;
@@ -109,7 +134,8 @@ struct SweepOptions {
 };
 
 enum class SweepStatus : uint8_t {
-  Completed,   ///< Every planned candidate was measured or quarantined.
+  Completed,   ///< Every planned candidate was measured or quarantined
+               ///< (a search: it converged or spent its budget).
   Interrupted, ///< SIGINT/SIGTERM (or requestSweepInterrupt) stopped it;
                ///< the journal makes it resumable.
   Error,       ///< Setup failed (stale/corrupt journal, I/O); no sweep ran.
@@ -135,19 +161,32 @@ struct SweepReport {
   Diagnostic Error;
 };
 
-/// Runs a SweepPlan durably.  The engine must outlive the driver.
+/// Runs plans and cursors durably.  The engine must outlive the driver.
 class SweepDriver {
 public:
   SweepDriver(const SearchEngine &Engine, SweepOptions Opts)
       : Engine(Engine), Opts(std::move(Opts)) {}
 
-  /// Executes the measurement phase of \p Plan under the configured
-  /// durability/isolation regime.  Quarantined indices in the outcome are
+  /// Executes the measurement phase of \p Plan: a one-round cursor over
+  /// its candidates with a budget of the candidate count.  The outcome's
+  /// Candidates are the plan's.  Quarantined indices in the outcome are
   /// sorted (unlike SearchEngine's candidate-order lists) so interrupted
   /// + resumed runs compare equal to uninterrupted ones.
   SweepReport run(SweepPlan Plan) const;
 
+  /// Executes the search \p Cursor proposes until it converges, \p Budget
+  /// records (replayed ones included) are committed, or a round backstop
+  /// of 256 + 16 * Budget rounds is hit.  Evals holds every configuration
+  /// the search proposed, Candidates the successfully measured ones in
+  /// commit order.  Static rejects are fed to the cursor but never
+  /// journaled or budgeted.
+  SweepReport run(SearchCursor &Cursor, uint64_t Budget,
+                  std::string Strategy) const;
+
 private:
+  SweepReport drive(SearchOutcome Seed, SearchCursor &Cursor,
+                    uint64_t Budget) const;
+
   const SearchEngine &Engine;
   SweepOptions Opts;
 };

@@ -266,16 +266,17 @@ void TuneServer::runJob(const std::shared_ptr<ServeJob> &Job) {
     return Expired() || sweepForceQuitRequested();
   };
 
+  SOpts.Isolate = Opts.Isolate;
+
   SweepReport Rep;
   if (serveStrategyIsPlannable(Req)) {
     SweepPlan Plan = planForRequest(*E->Eng, Req, Opts.Jobs);
     Job->Total.store(Plan.Candidates.size(), std::memory_order_relaxed);
-    SOpts.Isolate = Opts.Isolate;
     SOpts.Fingerprint = fingerprintForRequest(*E->App, *E->Eng, Plan, Req);
     Rep = SweepDriver(*E->Eng, SOpts).run(std::move(Plan));
   } else {
     // Adaptive strategies (greedy/anneal/genetic) have no up-front plan;
-    // they run through the cursor executor against the same journal, so
+    // their cursor runs through the same driver and journal, so
     // kill+restart recovery replays exactly like the plannable path.
     StrategyKind Kind = StrategyKind::Pareto;
     (void)parseStrategy(Req.Strategy, Kind); // Validated at admission.
@@ -293,7 +294,6 @@ void TuneServer::runJob(const std::shared_ptr<ServeJob> &Job) {
     H.Extra = std::string(Req.FastBw ? "|fastbw" : "") +
               (Req.Lint ? "|lint" : "");
     SOpts.Fingerprint = H;
-    // Isolate is unsupported by the adaptive executor and ignored.
     Rep = runAdaptiveSweep(*E->Eng, Kind,
                            strategyOptionsForRequest(Req, Opts.Jobs), SOpts);
   }

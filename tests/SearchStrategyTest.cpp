@@ -8,12 +8,15 @@
 // (size floors, small-tier invariance, emulator-verified correctness of
 // register-blocked/tiled variants), seeded determinism of every strategy,
 // journal byte-identity across job counts, kill+resume for adaptive
-// searches, fingerprint rejection when any search knob changes, budgeted
-// sparse-plan slicing (the fleet sharding substrate), and a quality
-// sanity floor: every strategy must beat a one-probe random baseline.
+// searches, fingerprint rejection when any search knob changes, refusal
+// of journals whose records leave the sweep's commit order, process
+// isolation of adaptive rounds, budgeted sparse-plan slicing (the fleet
+// sharding substrate), and a quality sanity floor: every strategy must
+// beat a one-probe random baseline.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/EvalRecord.h"
 #include "core/SearchStrategy.h"
 #include "core/SweepDriver.h"
 #include "kernels/Cp.h"
@@ -21,9 +24,11 @@
 #include "kernels/MriFhd.h"
 #include "kernels/Sad.h"
 #include "support/Journal.h"
+#include "support/Subprocess.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -47,7 +52,7 @@ std::string slurp(const std::string &Path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// The canonical fingerprint for an adaptive run, mirroring the CLI.
+/// The canonical fingerprint for a budgeted run, mirroring the CLI.
 JournalHeader adaptiveHeader(const TunableApp &App, StrategyKind Kind,
                              const StrategyOptions &Opts,
                              const char *Space = "small") {
@@ -338,6 +343,210 @@ TEST(AdaptiveDurability, FingerprintMismatchIsRejected) {
   SweepReport Ok = runAdaptive(Eng, App, StrategyKind::Greedy, SO, Path, true);
   EXPECT_EQ(Ok.Status, SweepStatus::Completed);
   EXPECT_EQ(Ok.ResumedSkipped, 8u);
+}
+
+//===--- Record-level replay refusal -------------------------------------------//
+
+/// Rewrites \p Path as a journal with \p Header and \p Records.
+void writeJournal(const std::string &Path, const JournalHeader &Header,
+                  const std::vector<std::string> &Records) {
+  std::remove(Path.c_str());
+  Expected<JournalWriter> W = JournalWriter::create(Path, Header);
+  ASSERT_TRUE(W.ok()) << W.diag().Message;
+  for (const std::string &R : Records)
+    ASSERT_TRUE(W->appendRecord(R).ok());
+  W->close();
+}
+
+/// The journal record a measurement of usable flat index \p Flat writes.
+std::string recordFor(const SearchEngine &Eng, uint64_t Flat) {
+  ConfigEval E = Eng.evaluator().evaluateSubset({Flat}, 1).front();
+  EXPECT_TRUE(E.usable()) << Flat;
+  EXPECT_TRUE(Eng.evaluator().measure(E)) << Flat;
+  return EvalRecord::fromEval(E).toJson();
+}
+
+/// A usable flat index of \p Eng's space that is not in \p Avoid.
+uint64_t usableFlatOutside(const SearchEngine &Eng,
+                           const std::vector<uint64_t> &Avoid) {
+  for (uint64_t Flat : Eng.evaluator().expressibleIndices()) {
+    if (std::find(Avoid.begin(), Avoid.end(), Flat) != Avoid.end())
+      continue;
+    if (Eng.evaluator().evaluateSubset({Flat}, 1).front().usable())
+      return Flat;
+  }
+  ADD_FAILURE() << "no usable configuration outside the given set";
+  return 0;
+}
+
+/// The flat indices a journal's records name, in file order.
+std::vector<uint64_t> recordFlats(const JournalContents &C) {
+  std::vector<uint64_t> Flat;
+  for (const std::string &R : C.Records)
+    Flat.push_back(EvalRecord::fromJson(R)->Index);
+  return Flat;
+}
+
+/// Resumes the `random` sweep of \p SO from the journal at \p Path.
+SweepReport resumeRandom(const SearchEngine &Eng, const TunableApp &App,
+                         const StrategyOptions &SO, const std::string &Path) {
+  SweepOptions Opts;
+  Opts.JournalPath = Path;
+  Opts.Resume = true;
+  Opts.Fingerprint = adaptiveHeader(App, StrategyKind::Random, SO);
+  return SweepDriver(Eng, Opts).run(
+      planForStrategy(Eng, StrategyKind::Random, SO));
+}
+
+/// Resumes \p Path through \p Resume and expects a refusal that leaves
+/// the journal untouched.
+template <typename Fn>
+void expectRefused(const std::string &Path, Fn Resume) {
+  std::string Before = slurp(Path);
+  ASSERT_FALSE(Before.empty());
+  SweepReport Rep = Resume();
+  EXPECT_EQ(Rep.Status, SweepStatus::Error);
+  EXPECT_NE(Rep.Error.Message.find("refusing to resume"), std::string::npos)
+      << Rep.Error.Message;
+  EXPECT_EQ(slurp(Path), Before) << "a refused journal must stay as it was";
+}
+
+TEST(ReplayRefusal, PlannedRecordOutsideThePlan) {
+  MatMulApp App(MatMulProblem::emulation());
+  SearchEngine Eng(App, gtx());
+  StrategyOptions SO;
+  SO.Seed = 4;
+  SO.Budget = 6;
+  SweepPlan Plan = planForStrategy(Eng, StrategyKind::Random, SO);
+  std::vector<uint64_t> Planned;
+  for (size_t Idx : Plan.Candidates)
+    Planned.push_back(Plan.Evals[Idx].FlatIndex);
+
+  std::string Path = tmpPath("refuse_outside");
+  writeJournal(Path, adaptiveHeader(App, StrategyKind::Random, SO),
+               {recordFor(Eng, usableFlatOutside(Eng, Planned))});
+  expectRefused(Path, [&] { return resumeRandom(Eng, App, SO, Path); });
+}
+
+TEST(ReplayRefusal, AdaptiveFirstRecordReplaced) {
+  MatMulApp App(MatMulProblem::emulation());
+  SearchEngine Eng(App, gtx());
+  StrategyOptions SO;
+  SO.Seed = 5;
+  SO.Budget = 10;
+  std::string Path = tmpPath("refuse_first");
+  ASSERT_EQ(runAdaptive(Eng, App, StrategyKind::Greedy, SO, Path).Status,
+            SweepStatus::Completed);
+  Expected<JournalContents> C = readJournal(Path);
+  ASSERT_TRUE(C.ok());
+  ASSERT_FALSE(C->Records.empty());
+  C->Records.front() = recordFor(Eng, usableFlatOutside(Eng, recordFlats(*C)));
+  writeJournal(Path, C->Header, C->Records);
+  expectRefused(Path, [&] {
+    return runAdaptive(Eng, App, StrategyKind::Greedy, SO, Path, true);
+  });
+}
+
+TEST(ReplayRefusal, AdaptiveDuplicatedTrailingRecord) {
+  MatMulApp App(MatMulProblem::emulation());
+  SearchEngine Eng(App, gtx());
+  StrategyOptions SO;
+  SO.Seed = 6;
+  SO.Budget = 10;
+  std::string Path = tmpPath("refuse_dup");
+  ASSERT_EQ(runAdaptive(Eng, App, StrategyKind::Greedy, SO, Path).Status,
+            SweepStatus::Completed);
+  Expected<JournalContents> C = readJournal(Path);
+  ASSERT_TRUE(C.ok());
+  ASSERT_FALSE(C->Records.empty());
+  C->Records.push_back(C->Records.back());
+  writeJournal(Path, C->Header, C->Records);
+  expectRefused(Path, [&] {
+    return runAdaptive(Eng, App, StrategyKind::Greedy, SO, Path, true);
+  });
+}
+
+TEST(ReplayRefusal, PlannedRecordsOutOfPlanOrder) {
+  // Every writer commits a plan in plan order, so a permuted journal is
+  // not one this sweep wrote.
+  MatMulApp App(MatMulProblem::emulation());
+  SearchEngine Eng(App, gtx());
+  StrategyOptions SO;
+  SO.Seed = 4;
+  SO.Budget = 6;
+  std::string Path = tmpPath("refuse_swap");
+  SweepOptions Opts;
+  Opts.JournalPath = Path;
+  Opts.Fingerprint = adaptiveHeader(App, StrategyKind::Random, SO);
+  ASSERT_EQ(SweepDriver(Eng, Opts)
+                .run(planForStrategy(Eng, StrategyKind::Random, SO))
+                .Status,
+            SweepStatus::Completed);
+  Expected<JournalContents> C = readJournal(Path);
+  ASSERT_TRUE(C.ok());
+  ASSERT_GE(C->Records.size(), 2u);
+  std::swap(C->Records[0], C->Records[1]);
+  writeJournal(Path, C->Header, C->Records);
+  expectRefused(Path, [&] { return resumeRandom(Eng, App, SO, Path); });
+}
+
+//===--- Adaptive isolation ----------------------------------------------------//
+
+TEST(AdaptiveIsolation, JournalBytesMatchInProcessRun) {
+  if (!subprocessSupported())
+    GTEST_SKIP() << "no fork on this platform";
+  MatMulApp App(MatMulProblem::emulation());
+  SearchEngine Eng(App, gtx());
+  StrategyOptions SO;
+  SO.Seed = 3;
+  SO.Budget = 10;
+  std::string Plain = tmpPath("iso_plain");
+  ASSERT_EQ(runAdaptive(Eng, App, StrategyKind::Greedy, SO, Plain).Status,
+            SweepStatus::Completed);
+
+  std::string Isolated = tmpPath("iso_forked");
+  SweepOptions Opts;
+  Opts.JournalPath = Isolated;
+  Opts.Fingerprint = adaptiveHeader(App, StrategyKind::Greedy, SO);
+  Opts.Isolate = true; // Default shard size 8, budget 10: no clamping.
+  SweepReport Rep = runAdaptiveSweep(Eng, StrategyKind::Greedy, SO, Opts);
+  ASSERT_EQ(Rep.Status, SweepStatus::Completed);
+  EXPECT_TRUE(Rep.Warnings.empty()) << Rep.Warnings.front();
+  EXPECT_FALSE(Rep.DegradedInProcess);
+  ASSERT_FALSE(slurp(Plain).empty());
+  EXPECT_EQ(slurp(Isolated), slurp(Plain));
+}
+
+TEST(AdaptiveIsolation, CrashedProbeIsRetriedThenQuarantined) {
+  if (!subprocessSupported())
+    GTEST_SKIP() << "no fork on this platform";
+  MatMulApp App(MatMulProblem::emulation());
+  StrategyOptions SO;
+  SO.Seed = 3;
+  SO.Budget = 10;
+  SearchEngine Clean(App, gtx());
+  SweepReport Ref = runAdaptive(Clean, App, StrategyKind::Greedy, SO);
+  ASSERT_EQ(Ref.Status, SweepStatus::Completed);
+  ASSERT_GE(Ref.Outcome.Candidates.size(), 3u);
+  uint64_t Victim = probeSequence(Ref.Outcome)[2];
+
+  FaultPlan Faults;
+  Faults.Actions.push_back({Victim, FaultAction::Crash});
+  SearchEngine Eng(App, gtx(), {}, {}, Faults);
+  SweepReport InProcess = runAdaptive(Eng, App, StrategyKind::Greedy, SO);
+  ASSERT_EQ(InProcess.Status, SweepStatus::Completed);
+
+  SweepOptions Opts;
+  Opts.Isolate = true;
+  Opts.RetryBackoff.InitialSeconds = 0.01;
+  SweepReport Rep = runAdaptiveSweep(Eng, StrategyKind::Greedy, SO, Opts);
+  ASSERT_EQ(Rep.Status, SweepStatus::Completed);
+  EXPECT_EQ(Rep.WorkerRetries, 1u);
+  ASSERT_EQ(Rep.Outcome.Quarantined.size(), 1u);
+  const ConfigEval &E = Rep.Outcome.Evals[Rep.Outcome.Quarantined.front()];
+  EXPECT_EQ(E.FlatIndex, Victim);
+  EXPECT_EQ(E.Failure.Code, ErrorCode::WorkerCrashed);
+  EXPECT_EQ(probeSequence(Rep.Outcome), probeSequence(InProcess.Outcome));
 }
 
 //===--- Quality ---------------------------------------------------------------//

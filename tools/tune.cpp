@@ -451,29 +451,34 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
   ScopedTracer TraceGuard(Trace ? &*Trace : nullptr);
 
   // Live status line on stderr.  Observation only — it runs on the
-  // committer thread after each record and cannot perturb results.
-  if (Flags.count("progress")) {
-    using Clock = std::chrono::steady_clock;
-    auto Start = Clock::now();
-    auto LastDraw = Start - std::chrono::hours(1);
-    SOpts.OnProgress = [Start, LastDraw](const SweepProgress &P) mutable {
-      auto Now = Clock::now();
-      bool Final = P.Done == P.Total;
-      if (!Final && Now - LastDraw < std::chrono::milliseconds(100))
-        return; // Throttle: a fast sweep would otherwise spam stderr.
-      LastDraw = Now;
-      double Elapsed = std::chrono::duration<double>(Now - Start).count();
-      double Rate = Elapsed > 0 ? double(P.FreshDone) / Elapsed : 0;
-      size_t Left = P.Total - P.Done;
-      std::cerr << "\r  " << P.Done << "/" << P.Total << " configs  "
-                << fmtDouble(Rate, 1) << "/s";
-      if (Rate > 0)
-        std::cerr << "  ETA " << fmtDouble(double(Left) / Rate, 0) << "s";
-      if (P.Quarantined != 0)
-        std::cerr << "  quarantined " << P.Quarantined;
-      std::cerr << "   " << (Final ? "\n" : "") << std::flush;
+  // committer thread after each record and cannot perturb results.  The
+  // last observation is redrawn after the sweep to end the line: a search
+  // that converges under its budget, or an interrupted sweep, never
+  // reports Done == Total.
+  using Clock = std::chrono::steady_clock;
+  auto Start = Clock::now(), LastDraw = Start - std::chrono::hours(1);
+  std::optional<SweepProgress> LastProgress;
+  auto DrawProgress = [&](bool Final) {
+    const SweepProgress &P = *LastProgress;
+    LastDraw = Clock::now();
+    double Elapsed = std::chrono::duration<double>(LastDraw - Start).count();
+    double Rate = Elapsed > 0 ? double(P.FreshDone) / Elapsed : 0;
+    std::cerr << "\r  " << P.Done << "/" << P.Total << " configs  "
+              << fmtDouble(Rate, 1) << "/s";
+    if (Rate > 0 && !Final)
+      std::cerr << "  ETA " << fmtDouble(double(P.Total - P.Done) / Rate, 0)
+                << "s";
+    if (P.Quarantined != 0)
+      std::cerr << "  quarantined " << P.Quarantined;
+    std::cerr << "   " << (Final ? "\n" : "") << std::flush;
+  };
+  if (Flags.count("progress"))
+    SOpts.OnProgress = [&](const SweepProgress &P) {
+      LastProgress = P;
+      // Throttle: a fast sweep would otherwise spam stderr.
+      if (Clock::now() - LastDraw >= std::chrono::milliseconds(100))
+        DrawProgress(/*Final=*/false);
     };
-  }
 
   StrategyKind Kind;
   if (!parseStrategy(Strategy, Kind)) {
@@ -495,11 +500,8 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
   SweepReport Rep;
   if (!strategyIsPlannable(Kind)) {
     // Adaptive strategies (greedy/anneal/genetic) regenerate their probe
-    // sequence deterministically, so they journal and resume through
-    // runAdaptiveSweep.  Fork isolation is not supported there.
-    if (SOpts.Isolate)
-      std::cerr << "warning: --isolate is not supported with adaptive "
-                   "strategies; running in-process\n";
+    // sequence deterministically, so they journal, resume and isolate
+    // through runAdaptiveSweep.
     SOpts.Fingerprint.Strategy = strategyName(Kind);
     // The fast path changes measured results, so it is part of the
     // resume fingerprint.  Adaptive sweeps evaluate statics lazily, so
@@ -534,6 +536,8 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
     ScopedSweepSignalHandlers Guard;
     Rep = Driver.run(std::move(Plan));
   }
+  if (LastProgress)
+    DrawProgress(/*Final=*/true);
   for (const std::string &W : Rep.Warnings)
     std::cerr << "warning: " << W << "\n";
   if (Rep.Status == SweepStatus::Error) {
