@@ -10,7 +10,7 @@
 #include "analysis/CFG.h"
 #include "analysis/Dataflow.h"
 #include "ptx/ResourceEstimator.h"
-#include "support/Journal.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <map>

@@ -6,24 +6,15 @@
 
 #include "core/EvalRecord.h"
 
-#include "support/Journal.h"
+#include "support/Json.h"
 #include "support/Numeric.h"
 
-#include <cstdio>
 #include <sstream>
 #include <unordered_map>
 
 using namespace g80;
 
 namespace {
-
-/// 17 significant digits: enough for IEEE double round-trips, so resumed
-/// sweeps rank configurations bit-identically to the original run.
-std::string fmtExact(double V) {
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  return Buf;
-}
 
 Diagnostic recordError(std::string Msg) {
   return makeDiag(ErrorCode::JournalError, Stage::Parse, std::move(Msg));
@@ -75,11 +66,11 @@ std::string EvalRecord::toJson() const {
     OS << (I ? "," : "") << Point[I];
   OS << "],\"expr\":" << (Expressible ? "true" : "false")
      << ",\"valid\":" << (Valid ? "true" : "false")
-     << ",\"eff\":" << fmtExact(Efficiency)
-     << ",\"util\":" << fmtExact(Utilization)
+     << ",\"eff\":" << jsonDouble(Efficiency)
+     << ",\"util\":" << jsonDouble(Utilization)
      << ",\"measured\":" << (Measured ? "true" : "false")
-     << ",\"time\":" << fmtExact(TimeSeconds)
-     << ",\"simsec\":" << fmtExact(SimSeconds) << ",\"cycles\":" << Cycles
+     << ",\"time\":" << jsonDouble(TimeSeconds)
+     << ",\"simsec\":" << jsonDouble(SimSeconds) << ",\"cycles\":" << Cycles
      << ",\"fastbw\":" << (FastBw ? "true" : "false")
      << ",\"stall\":" << IssueStallCycles
      << ",\"memwait\":" << MemQueueWaitCycles << ",\"bsm\":" << BlocksPerSM
@@ -147,15 +138,15 @@ std::vector<std::string> EvalRecord::csvRow() const {
           PointText,
           Expressible ? "1" : "0",
           Valid ? "1" : "0",
-          fmtExact(Efficiency),
-          fmtExact(Utilization),
+          jsonDouble(Efficiency),
+          jsonDouble(Utilization),
           Measured ? "1" : "0",
-          fmtExact(TimeSeconds),
-          fmtExact(SimSeconds),
+          jsonDouble(TimeSeconds),
+          jsonDouble(SimSeconds),
           std::to_string(Cycles),
           std::to_string(IssueStallCycles),
           std::to_string(MemQueueWaitCycles),
-          fmtExact(issueEfficiency()),
+          jsonDouble(issueEfficiency()),
           std::to_string(BlocksPerSM),
           FastBw ? "1" : "0",
           failed() ? stageName(At) : "",

@@ -11,7 +11,6 @@
 #include "support/TextTable.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -23,13 +22,6 @@ Diagnostic reportError(std::string Msg) {
   return makeDiag(ErrorCode::JournalError, Stage::Parse, std::move(Msg));
 }
 
-/// %.17g so JSON output round-trips doubles exactly, like the journal.
-std::string fmtExact(double V) {
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-  return Buf;
-}
-
 std::string pointText(const std::vector<int> &Point) {
   std::string Out;
   for (size_t I = 0; I != Point.size(); ++I)
@@ -38,10 +30,7 @@ std::string pointText(const std::vector<int> &Point) {
 }
 
 std::string pointJson(const std::vector<int> &Point) {
-  std::string Out = "[";
-  for (size_t I = 0; I != Point.size(); ++I)
-    Out += (I ? "," : "") + std::to_string(Point[I]);
-  return Out + "]";
+  return "[" + pointText(Point) + "]";
 }
 
 } // namespace
@@ -49,14 +38,12 @@ std::string pointJson(const std::vector<int> &Point) {
 //===--- Loading --------------------------------------------------------------//
 
 Expected<LoadedRecords> g80::loadEvalRecords(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return reportError("cannot open '" + Path + "'");
-  std::string Text((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
+  Expected<std::string> Text = readFile(Path);
+  if (!Text)
+    return Text.takeDiag();
 
   LoadedRecords Out;
-  if (Text.compare(0, 15, "{\"g80journal\":1") == 0) {
+  if (Text->compare(0, 15, "{\"g80journal\":1") == 0) {
     Expected<JournalContents> C = readJournal(Path);
     if (!C)
       return C.takeDiag();
@@ -71,7 +58,7 @@ Expected<LoadedRecords> g80::loadEvalRecords(const std::string &Path) {
     return Out;
   }
 
-  std::vector<std::vector<std::string>> Rows = parseCsv(Text);
+  std::vector<std::vector<std::string>> Rows = parseCsv(*Text);
   if (Rows.empty())
     return reportError("'" + Path +
                        "' is neither a sweep journal nor an eval CSV");
@@ -309,19 +296,19 @@ void g80::renderReportJson(const SweepSummary &S, const TraceSummary *Trace,
      << ",\n  \"valid\": " << S.Valid << ",\n  \"measured\": " << S.Measured
      << ",\n  \"quarantined\": " << S.Quarantined
      << ",\n  \"fast_bw\": " << S.FastBw
-     << ",\n  \"space_reduction\": " << fmtExact(S.spaceReduction())
-     << ",\n  \"space_reduction_raw\": " << fmtExact(S.rawSpaceReduction())
+     << ",\n  \"space_reduction\": " << jsonDouble(S.spaceReduction())
+     << ",\n  \"space_reduction_raw\": " << jsonDouble(S.rawSpaceReduction())
      << ",\n  \"total_measured_seconds\": "
-     << fmtExact(S.TotalMeasuredSeconds);
+     << jsonDouble(S.TotalMeasuredSeconds);
   if (S.HasBest)
     OS << ",\n  \"best\": {\"index\": " << S.Best.Index
        << ", \"point\": " << pointJson(S.Best.Point)
-       << ", \"time_seconds\": " << fmtExact(S.Best.TimeSeconds) << "}";
+       << ", \"time_seconds\": " << jsonDouble(S.Best.TimeSeconds) << "}";
   OS << ",\n  \"attribution\": {\"cycles\": " << S.Cycles
      << ", \"issue_stall_cycles\": " << S.IssueStallCycles
      << ", \"mem_queue_wait_cycles\": " << S.MemQueueWaitCycles
-     << ", \"issue_efficiency\": " << fmtExact(S.issueEfficiency())
-     << ", \"mean_blocks_per_sm\": " << fmtExact(S.MeanBlocksPerSm) << "}";
+     << ", \"issue_efficiency\": " << jsonDouble(S.issueEfficiency())
+     << ", \"mean_blocks_per_sm\": " << jsonDouble(S.MeanBlocksPerSm) << "}";
 
   OS << ",\n  \"quarantine\": {\"stages\": {";
   bool First = true;
@@ -345,9 +332,9 @@ void g80::renderReportJson(const SweepSummary &S, const TraceSummary *Trace,
     const EvalRecord &R = S.Slowest[I];
     OS << (I ? ", " : "") << "{\"index\": " << R.Index
        << ", \"point\": " << pointJson(R.Point)
-       << ", \"time_seconds\": " << fmtExact(R.TimeSeconds)
+       << ", \"time_seconds\": " << jsonDouble(R.TimeSeconds)
        << ", \"cycles\": " << R.Cycles
-       << ", \"issue_efficiency\": " << fmtExact(R.issueEfficiency())
+       << ", \"issue_efficiency\": " << jsonDouble(R.issueEfficiency())
        << ", \"fast_bw\": " << (R.FastBw ? "true" : "false") << "}";
   }
   OS << "]";
@@ -359,7 +346,7 @@ void g80::renderReportJson(const SweepSummary &S, const TraceSummary *Trace,
       const TraceStageStat &St = Trace->Stages[I];
       OS << (I ? ", " : "") << "{\"name\": \"" << jsonEscape(St.Name)
          << "\", \"count\": " << St.Count << ", \"total_us\": " << St.TotalUs
-         << ", \"mean_us\": " << fmtExact(St.meanUs())
+         << ", \"mean_us\": " << jsonDouble(St.meanUs())
          << ", \"min_us\": " << (St.Count ? St.MinUs : 0)
          << ", \"max_us\": " << St.MaxUs << "}";
     }

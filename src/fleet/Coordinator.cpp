@@ -8,7 +8,6 @@
 
 #include "core/Search.h"
 #include "serve/Shard.h"
-#include "serve/Spool.h"
 #include "support/Journal.h"
 #include "support/Trace.h"
 
@@ -18,7 +17,6 @@
 #include <cstdio>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -40,13 +38,6 @@ std::string shardName(uint64_t Index) {
   return Buf;
 }
 
-std::string slurpFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
-
 } // namespace
 
 //===--- Impl -----------------------------------------------------------------//
@@ -66,7 +57,6 @@ struct FleetCoordinator::Impl {
   struct Shard {
     ShardRequest Req;
     bool Done = false;
-    bool Recovered = false;
     bool HedgedOnce = false;
     unsigned InFlight = 0;
     std::chrono::steady_clock::time_point ActiveSince;
@@ -129,9 +119,6 @@ struct FleetCoordinator::Impl {
   //===--- Spool layout -----------------------------------------------------//
 
   std::string manifestPath() const { return Opts.SpoolDir + "/fleet.plan"; }
-  std::string ticketPath(uint64_t I) const {
-    return Opts.SpoolDir + "/" + shardName(I) + ".job";
-  }
   std::string resultPath(uint64_t I) const {
     return Opts.SpoolDir + "/" + shardName(I) + ".result";
   }
@@ -193,8 +180,10 @@ struct FleetCoordinator::Impl {
   }
 
   /// Opens the coordinator spool: validates (or writes) the plan
-  /// manifest, quarantines torn tickets/results, writes missing shard
-  /// tickets, and loads every durable shard result.
+  /// manifest, quarantines torn results, and loads every durable shard
+  /// result.  Shards have no tickets: buildPlan re-derives every shard
+  /// request, and the manifest pins the plan.  (Ticket files that older
+  /// coordinators wrote are ignored and left in place.)
   Expected<Unit> openSpool() {
     TraceSpan Span("fleet.spool");
     std::error_code Ec;
@@ -207,9 +196,10 @@ struct FleetCoordinator::Impl {
     // a different plan (or shard size) must not splice foreign results.
     std::string Manifest = manifestJson();
     if (std::filesystem::exists(manifestPath())) {
-      std::string Have = slurpFile(manifestPath());
+      Expected<std::string> File = readFile(manifestPath());
+      std::string_view Have = File ? std::string_view(*File) : "";
       while (!Have.empty() && (Have.back() == '\n' || Have.back() == '\r'))
-        Have.pop_back();
+        Have.remove_suffix(1);
       if (Have != Manifest)
         return fleetDiag(
             "fleet spool '" + Opts.SpoolDir +
@@ -221,49 +211,25 @@ struct FleetCoordinator::Impl {
         return W.takeDiag();
     }
 
-    // Quarantine pass (same invariant as serve/Spool): a ticket torn by
-    // a mid-write crash is renamed .bad and reported, never fatal.
-    for (const auto &Entry :
-         std::filesystem::directory_iterator(Opts.SpoolDir, Ec)) {
-      if (!Entry.is_regular_file() || Entry.path().extension() != ".job")
-        continue;
-      std::string Raw = slurpFile(Entry.path().string());
-      if (!ShardRequest::fromJson(Raw)) {
-        std::string Bad = Entry.path().string() + ".bad";
-        std::error_code RenEc;
-        std::filesystem::rename(Entry.path(), Bad, RenEc);
-        warn("quarantined corrupt fleet ticket '" + Entry.path().string() +
-             "'" + (RenEc ? " (rename failed: " + RenEc.message() + ")"
-                          : ""));
-      }
-    }
-
     for (uint64_t I = 0; I != Shards.size(); ++I) {
-      Shard &S = Shards[I];
-      if (!std::filesystem::exists(ticketPath(I))) {
-        Expected<Unit> W =
-            writeFileDurable(ticketPath(I), S.Req.toJson() + "\n");
-        if (!W)
-          return W.takeDiag();
-      }
       if (!std::filesystem::exists(resultPath(I)))
         continue;
-      Expected<ShardResult> R = ShardResult::fromJson(slurpFile(resultPath(I)));
+      Expected<std::string> File = readFile(resultPath(I));
+      Expected<ShardResult> R =
+          File ? ShardResult::fromJson(*File) : File.takeDiag();
       bool Valid = bool(R) && R->completed() &&
                    R->PlanFp == Partition.PlanFp && R->ShardIndex == I &&
                    R->Records.size() == Partition.Shards[I].size();
       if (!Valid) {
-        std::string Bad = resultPath(I) + ".bad";
-        std::error_code RenEc;
-        std::filesystem::rename(resultPath(I), Bad, RenEc);
-        warn("quarantined corrupt fleet shard result '" + resultPath(I) +
-             "'" + (RenEc ? " (rename failed: " + RenEc.message() + ")"
-                          : ""));
+        // Same invariant as serve/Spool: a torn file is quarantined and
+        // reported, never fatal; the shard simply runs again.
+        warn(quarantineFile(resultPath(I),
+                            "quarantined corrupt fleet shard result '" +
+                                resultPath(I) + "'"));
         continue;
       }
-      S.Done = true;
-      S.Recovered = true;
-      S.Records = std::move(R->Records);
+      Shards[I].Done = true;
+      Shards[I].Records = std::move(R->Records);
       ++DoneCount;
     }
     return Unit{};

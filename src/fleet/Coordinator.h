@@ -22,11 +22,12 @@
 ///    durations are hedged onto a second worker;
 ///  - when every remote worker is unhealthy the coordinator degrades to
 ///    executing shards in-process rather than stalling;
-///  - the coordinator keeps its own crash-safe spool (a plan manifest,
-///    a ticket per shard, durable per-shard results written
-///    tmp+fsync+rename — the serve/Spool invariants), so a SIGKILLed
+///  - the coordinator keeps its own crash-safe spool (a plan manifest
+///    and one durable result per finished shard, written tmp+fsync+
+///    rename by support/Journal's writeFileDurable), so a SIGKILLed
 ///    coordinator restarted on the same spool resumes only unfinished
-///    shards.
+///    shards.  Shards need no tickets: the manifest pins the plan, and
+///    the plan re-derives every shard request.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,7 +88,7 @@ struct FleetOptions {
   /// Remote workers.  May be empty: the coordinator then runs every
   /// shard in-process (AllowLocal must be true).
   std::vector<WorkerEndpoint> Workers;
-  /// Coordinator spool directory (manifest + shard tickets/results).
+  /// Coordinator spool directory (plan manifest + shard results).
   std::string SpoolDir;
   /// The merged journal's path.  Written atomically (tmp + rename) once
   /// every shard is durable.

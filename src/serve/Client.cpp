@@ -6,7 +6,7 @@
 
 #include "serve/Client.h"
 
-#include "support/Journal.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <chrono>

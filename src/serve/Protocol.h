@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The serve daemon's message vocabulary.  One JSON object per frame
-/// (support/Socket.h), encoded and parsed with the same flat-JSON helpers
-/// the journal uses — no external JSON dependency, and the durable result
-/// format is deliberately deterministic: two runs of the same request
+/// (support/Socket.h), encoded and parsed with support/Json.h, the module
+/// the journal uses too — no external JSON dependency, and the durable
+/// result format is deliberately deterministic: two runs of the same request
 /// (uninterrupted, or killed and recovered any number of times) produce
 /// byte-identical result files, which is what the chaos test asserts.
 ///
@@ -165,10 +165,6 @@ std::string errorFrame(const std::string &Message);
 std::string progressFrame(const std::string &Id, uint64_t Done,
                           uint64_t Total, uint64_t Quarantined);
 std::string okFrame();
-
-/// Serializes \p V the way EvalRecord does (%.17g): round-trip exact,
-/// locale-independent, deterministic.
-std::string serveDouble(double V);
 
 } // namespace g80
 

@@ -9,18 +9,9 @@
 #include "support/Journal.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 using namespace g80;
 
@@ -47,49 +38,6 @@ uint64_t seqForId(const std::string &Id) {
 }
 
 } // namespace
-
-#ifndef _WIN32
-
-Expected<Unit> g80::writeFileDurable(const std::string &Path,
-                                     const std::string &Content) {
-  std::string Tmp = Path + ".tmp";
-  int Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (Fd < 0)
-    return spoolError("cannot create '" + Tmp +
-                      "': " + std::strerror(errno));
-  size_t Done = 0;
-  while (Done < Content.size()) {
-    ssize_t N = ::write(Fd, Content.data() + Done, Content.size() - Done);
-    if (N < 0) {
-      std::string E = std::strerror(errno);
-      ::close(Fd);
-      ::unlink(Tmp.c_str());
-      return spoolError("write to '" + Tmp + "' failed: " + E);
-    }
-    Done += size_t(N);
-  }
-  ::fsync(Fd);
-  ::close(Fd);
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::string E = std::strerror(errno);
-    ::unlink(Tmp.c_str());
-    return spoolError("rename to '" + Path + "' failed: " + E);
-  }
-  fsyncParentDir(Path);
-  return Unit{};
-}
-
-#else
-
-Expected<Unit> g80::writeFileDurable(const std::string &Path,
-                                     const std::string &Content) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  if (!Out.write(Content.data(), std::streamsize(Content.size())))
-    return spoolError("cannot write '" + Path + "'");
-  return Unit{};
-}
-
-#endif
 
 Expected<Spool> Spool::open(const std::string &Dir) {
   std::error_code Ec;
@@ -141,15 +89,6 @@ std::string Spool::shardJournalPath(uint64_t PlanFp,
   return Dir + "/" + Buf;
 }
 
-Expected<std::string> Spool::readResult(const std::string &Id) const {
-  std::ifstream In(resultPath(Id), std::ios::binary);
-  if (!In)
-    return spoolError("no result for '" + Id + "'");
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
-
 Expected<std::vector<std::pair<std::string, TuneRequest>>>
 Spool::recover(std::vector<std::string> *Quarantined) const {
   std::vector<std::pair<std::string, TuneRequest>> Pending;
@@ -163,24 +102,17 @@ Spool::recover(std::vector<std::string> *Quarantined) const {
     std::string Id = P.stem().string();
     if (seqForId(Id) == 0 || std::filesystem::exists(resultPath(Id)))
       continue;
-    std::ifstream In(P, std::ios::binary);
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Expected<TuneRequest> Req = TuneRequest::fromJson(Buf.str());
+    Expected<std::string> Text = readFile(P.string());
+    Expected<TuneRequest> Req =
+        Text ? TuneRequest::fromJson(*Text) : Text.takeDiag();
     if (!Req) {
       // A ticket torn by a mid-write crash must not take down recovery
-      // of the healthy ones: quarantine it under a .bad name (so the
-      // evidence survives and the scan never re-trips on it) and move
-      // on.
-      std::string Bad = P.string() + ".bad";
-      std::error_code RenEc;
-      std::filesystem::rename(P, Bad, RenEc);
-      std::string Note = "quarantined corrupt spool ticket '" + P.string() +
-                         "': " + Req.diag().Message;
-      if (RenEc)
-        Note += " (rename to .bad failed: " + RenEc.message() + ")";
+      // of the healthy ones: quarantine it and move on.
+      std::string Note = quarantineFile(
+          P.string(), "quarantined corrupt spool ticket '" + P.string() +
+                          "': " + Req.diag().Message);
       if (Quarantined)
-        Quarantined->push_back(Note);
+        Quarantined->push_back(std::move(Note));
       continue;
     }
     Pending.emplace_back(Id, Req.takeValue());

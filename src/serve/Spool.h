@@ -22,8 +22,9 @@
 /// completed before the kill is never re-measured and the eventual
 /// result file is byte-identical to an uninterrupted run's.
 ///
-/// All writes follow the Journal.cpp durability discipline: fsync the
-/// file, then fsync the parent directory so the *name* survives too.
+/// Tickets and results are written with support/Journal's
+/// writeFileDurable: fsync the file, then fsync the parent directory so
+/// the *name* survives too, and fail when either sync fails.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,13 +39,6 @@
 #include <vector>
 
 namespace g80 {
-
-/// Writes \p Content to \p Path via tmp + fsync + rename + parent-dir
-/// fsync, so the file appears atomically and durably or not at all.
-/// This is the spool's core invariant, exported so the fleet
-/// coordinator's shard spool can share it.
-Expected<Unit> writeFileDurable(const std::string &Path,
-                                const std::string &Content);
 
 class Spool {
 public:
@@ -63,9 +57,6 @@ public:
   /// Durably writes the terminal result for \p Id (tmp + rename + fsync).
   Expected<Unit> writeResult(const std::string &Id,
                              const std::string &ResultJson);
-
-  /// Reads the result JSON for \p Id; fails when none exists yet.
-  Expected<std::string> readResult(const std::string &Id) const;
 
   /// Accepted-but-unfinished requests (ticket without result), ordered by
   /// id — the restart-recovery work list.  A truncated or corrupt ticket

@@ -6,9 +6,10 @@
 
 #include "support/Journal.h"
 
+#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -29,78 +30,6 @@ uint64_t g80::fnv1a64(std::string_view Bytes) {
   return H;
 }
 
-std::string g80::jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += char(C);
-      }
-    }
-  }
-  return Out;
-}
-
-std::string g80::jsonUnescape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (size_t I = 0; I != S.size(); ++I) {
-    if (S[I] != '\\' || I + 1 == S.size()) {
-      Out += S[I];
-      continue;
-    }
-    switch (S[++I]) {
-    case '"':
-      Out += '"';
-      break;
-    case '\\':
-      Out += '\\';
-      break;
-    case 'n':
-      Out += '\n';
-      break;
-    case 'r':
-      Out += '\r';
-      break;
-    case 't':
-      Out += '\t';
-      break;
-    case 'u':
-      if (I + 4 < S.size()) {
-        unsigned V = unsigned(
-            std::strtoul(std::string(S.substr(I + 1, 4)).c_str(), nullptr, 16));
-        Out += char(V & 0xff);
-        I += 4;
-      }
-      break;
-    default:
-      Out += S[I];
-    }
-  }
-  return Out;
-}
-
 namespace {
 
 Diagnostic journalError(std::string Msg) {
@@ -113,103 +42,6 @@ std::string crcHex(std::string_view Bytes) {
                 static_cast<unsigned long long>(fnv1a64(Bytes)));
   return Buf;
 }
-
-/// Finds `"Key":` inside the serialized-by-us object \p Obj and returns
-/// the raw value text starting right after the colon (up to end of Obj).
-bool fieldTail(std::string_view Obj, std::string_view Key,
-               std::string_view &Tail) {
-  std::string Needle = "\"" + std::string(Key) + "\":";
-  size_t Pos = Obj.find(Needle);
-  if (Pos == std::string_view::npos)
-    return false;
-  Tail = Obj.substr(Pos + Needle.size());
-  return true;
-}
-
-} // namespace
-
-bool g80::jsonStringField(std::string_view Obj, std::string_view Key,
-                          std::string &Out) {
-  std::string_view Tail;
-  if (!fieldTail(Obj, Key, Tail) || Tail.empty() || Tail[0] != '"')
-    return false;
-  // Scan for the closing unescaped quote.
-  for (size_t I = 1; I < Tail.size(); ++I) {
-    if (Tail[I] == '\\') {
-      ++I;
-      continue;
-    }
-    if (Tail[I] == '"') {
-      Out = jsonUnescape(Tail.substr(1, I - 1));
-      return true;
-    }
-  }
-  return false;
-}
-
-bool g80::jsonUintField(std::string_view Obj, std::string_view Key,
-                        uint64_t &Out) {
-  std::string_view Tail;
-  if (!fieldTail(Obj, Key, Tail))
-    return false;
-  char *End = nullptr;
-  std::string Text(Tail.substr(0, 24));
-  Out = std::strtoull(Text.c_str(), &End, 10);
-  return End != Text.c_str();
-}
-
-bool g80::jsonDoubleField(std::string_view Obj, std::string_view Key,
-                          double &Out) {
-  std::string_view Tail;
-  if (!fieldTail(Obj, Key, Tail))
-    return false;
-  char *End = nullptr;
-  std::string Text(Tail.substr(0, 40));
-  Out = std::strtod(Text.c_str(), &End);
-  return End != Text.c_str();
-}
-
-bool g80::jsonBoolField(std::string_view Obj, std::string_view Key,
-                        bool &Out) {
-  std::string_view Tail;
-  if (!fieldTail(Obj, Key, Tail))
-    return false;
-  if (Tail.substr(0, 4) == "true") {
-    Out = true;
-    return true;
-  }
-  if (Tail.substr(0, 5) == "false") {
-    Out = false;
-    return true;
-  }
-  return false;
-}
-
-bool g80::jsonIntArrayField(std::string_view Obj, std::string_view Key,
-                            std::vector<int> &Out) {
-  std::string_view Tail;
-  if (!fieldTail(Obj, Key, Tail) || Tail.empty() || Tail[0] != '[')
-    return false;
-  size_t Close = Tail.find(']');
-  if (Close == std::string_view::npos)
-    return false;
-  Out.clear();
-  std::string Body(Tail.substr(1, Close - 1));
-  const char *P = Body.c_str();
-  while (*P) {
-    char *End = nullptr;
-    long V = std::strtol(P, &End, 10);
-    if (End == P)
-      return false;
-    Out.push_back(int(V));
-    P = End;
-    if (*P == ',')
-      ++P;
-  }
-  return true;
-}
-
-namespace {
 
 constexpr std::string_view HeaderPrefix = "{\"g80journal\":1,\"crc\":\"";
 constexpr std::string_view RecordPrefix = "{\"crc\":\"";
@@ -276,13 +108,28 @@ Expected<JournalHeader> JournalHeader::fromJson(std::string_view Json) {
   return H;
 }
 
-Expected<JournalContents> g80::readJournal(const std::string &Path) {
+Expected<std::string> g80::readFile(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   if (!In)
-    return journalError("cannot open journal '" + Path + "'");
+    return journalError("cannot open '" + Path + "'");
   std::ostringstream Buf;
   Buf << In.rdbuf();
-  std::string Text = Buf.str();
+  return Buf.str();
+}
+
+std::string g80::quarantineFile(const std::string &Path, std::string Note) {
+  std::error_code Ec;
+  std::filesystem::rename(Path, Path + ".bad", Ec);
+  if (Ec)
+    Note += " (rename to .bad failed: " + Ec.message() + ")";
+  return Note;
+}
+
+Expected<JournalContents> g80::readJournal(const std::string &Path) {
+  Expected<std::string> File = readFile(Path);
+  if (!File)
+    return journalError("cannot open journal '" + Path + "'");
+  const std::string &Text = *File;
 
   JournalContents Out;
   bool SawHeader = false;
@@ -353,15 +200,43 @@ void g80::fsyncParentDir(const std::string &Path) {
   ::close(Fd);
 }
 
-static Expected<Unit> writeAll(int Fd, std::string_view Bytes) {
+/// \p What failed; errno says why.
+static Diagnostic ioError(const std::string &What) {
+  return journalError(What + " failed: " + std::strerror(errno));
+}
+
+/// Writes all of \p Bytes; false, with errno set, on failure.
+static bool writeAll(int Fd, std::string_view Bytes) {
   size_t Done = 0;
   while (Done < Bytes.size()) {
     ssize_t N = ::write(Fd, Bytes.data() + Done, Bytes.size() - Done);
     if (N < 0)
-      return journalError("journal write failed: " +
-                          std::string(std::strerror(errno)));
+      return false;
     Done += size_t(N);
   }
+  return true;
+}
+
+Expected<Unit> g80::writeFileDurable(const std::string &Path,
+                                     std::string_view Content) {
+  std::string Tmp = Path + ".tmp";
+  int Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (Fd < 0)
+    return ioError("create '" + Tmp + "'");
+  Expected<Unit> W = Unit{};
+  if (!writeAll(Fd, Content))
+    W = ioError("write to '" + Tmp + "'");
+  else if (::fsync(Fd) != 0)
+    W = ioError("fsync of '" + Tmp + "'");
+  if (::close(Fd) != 0 && W)
+    W = ioError("close of '" + Tmp + "'");
+  if (W && std::rename(Tmp.c_str(), Path.c_str()) != 0)
+    W = ioError("rename to '" + Path + "'");
+  if (!W) {
+    ::unlink(Tmp.c_str());
+    return W;
+  }
+  fsyncParentDir(Path);
   return Unit{};
 }
 
@@ -372,10 +247,10 @@ Expected<JournalWriter> JournalWriter::create(const std::string &Path,
     return journalError("cannot create journal '" + Path +
                         "': " + std::strerror(errno));
   JournalWriter W(Fd);
-  std::string Line = wrapLine(Header.toJson(), /*IsHeader=*/true);
-  if (Expected<Unit> R = writeAll(Fd, Line); !R)
-    return R.takeDiag();
-  ::fsync(Fd);
+  if (!writeAll(Fd, wrapLine(Header.toJson(), /*IsHeader=*/true)))
+    return ioError("journal write");
+  if (::fsync(Fd) != 0)
+    return ioError("fsync of journal '" + Path + "'");
   // The file's contents are durable, but its directory entry is not until
   // the parent directory is synced too — without this a freshly created
   // journal can vanish wholesale on power loss.
@@ -405,15 +280,16 @@ Expected<JournalWriter> JournalWriter::append(const std::string &Path,
 Expected<Unit> JournalWriter::appendRecord(std::string_view PayloadJson) {
   if (Fd < 0)
     return journalError("journal writer is closed");
-  std::string Line = wrapLine(PayloadJson, /*IsHeader=*/false);
-  if (Expected<Unit> R = writeAll(Fd, Line); !R)
-    return R.takeDiag();
+  if (!writeAll(Fd, wrapLine(PayloadJson, /*IsHeader=*/false)))
+    return ioError("journal write");
   // The durability point: once this returns, the record survives SIGKILL,
   // OOM, and power loss.
 #ifdef __linux__
-  ::fdatasync(Fd);
+  if (::fdatasync(Fd) != 0)
+    return ioError("journal fdatasync");
 #else
-  ::fsync(Fd);
+  if (::fsync(Fd) != 0)
+    return ioError("journal fsync");
 #endif
   return Unit{};
 }
@@ -429,6 +305,14 @@ void JournalWriter::close() {
 #else // _WIN32 — stdio fallback without durability guarantees.
 
 void g80::fsyncParentDir(const std::string &) {}
+
+Expected<Unit> g80::writeFileDurable(const std::string &Path,
+                                     std::string_view Content) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  if (!Out.write(Content.data(), std::streamsize(Content.size())))
+    return journalError("cannot write '" + Path + "'");
+  return Unit{};
+}
 
 Expected<JournalWriter> JournalWriter::create(const std::string &Path,
                                               const JournalHeader &Header) {

@@ -34,11 +34,15 @@
 /// mapping to ConfigEval lives in core/EvalRecord.h so support does not
 /// depend on core.
 ///
+/// writeFileDurable, readFile and quarantineFile are the whole-file
+/// operations both spools (serve/Spool, fleet/Coordinator) share.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef G80TUNE_SUPPORT_JOURNAL_H
 #define G80TUNE_SUPPORT_JOURNAL_H
 
+#include "support/Json.h"
 #include "support/Status.h"
 
 #include <cstdint>
@@ -60,24 +64,20 @@ uint64_t fnv1a64(std::string_view Bytes);
 /// directories cannot be opened.
 void fsyncParentDir(const std::string &Path);
 
-/// Escapes \p S as the body of a JSON string literal (quotes, backslash,
-/// control characters).
-std::string jsonEscape(std::string_view S);
+/// Reads the whole of \p Path.
+Expected<std::string> readFile(const std::string &Path);
 
-/// Inverse of jsonEscape for the subset it emits.
-std::string jsonUnescape(std::string_view S);
+/// Writes \p Content to \p Path via tmp + fsync + rename + parent-dir
+/// fsync, so the file appears atomically and durably or not at all.  On
+/// failure, a failed fsync or close included, the tmp file is removed and
+/// \p Path keeps whatever it held before.
+Expected<Unit> writeFileDurable(const std::string &Path,
+                                std::string_view Content);
 
-/// Field extraction from the flat JSON objects this library serializes
-/// (no nesting-aware scanning: keys are matched literally, which is safe
-/// because we only parse what we ourselves emitted and checksummed).
-/// Each returns false when the key is missing or the value malformed.
-bool jsonStringField(std::string_view Obj, std::string_view Key,
-                     std::string &Out);
-bool jsonUintField(std::string_view Obj, std::string_view Key, uint64_t &Out);
-bool jsonDoubleField(std::string_view Obj, std::string_view Key, double &Out);
-bool jsonBoolField(std::string_view Obj, std::string_view Key, bool &Out);
-bool jsonIntArrayField(std::string_view Obj, std::string_view Key,
-                       std::vector<int> &Out);
+/// Renames a corrupt \p Path to `<Path>.bad`, so the evidence survives
+/// and no later scan trips on it again.  Returns \p Note, plus the rename
+/// failure if there was one.
+std::string quarantineFile(const std::string &Path, std::string Note);
 
 /// What produced a journal.  All fields participate in the resume
 /// compatibility check.
@@ -136,7 +136,7 @@ public:
   JournalWriter &operator=(const JournalWriter &) = delete;
   ~JournalWriter();
 
-  /// Creates (or truncates) \p Path and writes the header line.
+  /// Creates (or truncates) \p Path and writes and syncs the header line.
   static Expected<JournalWriter> create(const std::string &Path,
                                         const JournalHeader &Header);
 
@@ -149,7 +149,8 @@ public:
   bool isOpen() const { return Fd >= 0; }
 
   /// Wraps \p PayloadJson (one JSON object, no newlines) in a checksummed
-  /// record line, writes it, and syncs it to stable storage.
+  /// record line, writes it, and syncs it to stable storage.  A failed
+  /// sync is an error: the record may not survive a crash.
   Expected<Unit> appendRecord(std::string_view PayloadJson);
 
   /// Flushes and closes; further appends fail.  Idempotent.

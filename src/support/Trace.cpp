@@ -6,7 +6,7 @@
 
 #include "support/Trace.h"
 
-#include "support/Journal.h"
+#include "support/Json.h"
 
 #include <atomic>
 

@@ -33,7 +33,11 @@
 #include <vector>
 
 #ifndef _WIN32
+#include <cerrno>
 #include <csignal>
+#include <cstring>
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -95,6 +99,12 @@ TEST(Journal, RoundTrip) {
   for (const std::string &P : Payloads)
     ASSERT_TRUE(W->appendRecord(P).ok());
   W->close();
+  std::string Text = slurp(Path);
+  EXPECT_EQ(Text.substr(0, Text.find('\n') + 1),
+            "{\"g80journal\":1,\"crc\":\"af424f69a029a449\",\"hdr\":{\"app\":\"toy\","
+            "\"machine\":\"GeForce 8800 GTX\",\"strategy\":\"exhaustive\","
+            "\"seed\":1,\"budget\":0,\"raw\":100,\"space\":\"small\","
+            "\"extra\":\"inject=\\\"x\\\"\"}}\n");
 
   Expected<JournalContents> R = readJournal(Path);
   ASSERT_TRUE(R.ok()) << R.diag().Message;
@@ -215,6 +225,34 @@ TEST(Journal, CorruptionBeforeFinalRecordIsAHardError) {
   EXPECT_EQ(R.diag().Code, ErrorCode::JournalError);
 }
 
+#ifndef _WIN32
+
+// fsync on /dev/null and on a FIFO fails (EINVAL), standing in for a disk
+// that cannot make the bytes durable: that must be an error, never a
+// silently "durable" journal or spool file.
+TEST(Journal, CreateReportsAFailedFsync) {
+  EXPECT_FALSE(JournalWriter::create("/dev/null", header()).ok());
+}
+
+TEST(DurableFileTest, FailedFsyncLeavesNeitherFileNorTmp) {
+  std::string Path = tmpPath("durable_fifo");
+  std::string Tmp = Path + ".tmp";
+  std::remove(Tmp.c_str());
+  ASSERT_EQ(::mkfifo(Tmp.c_str(), 0644), 0) << std::strerror(errno);
+  // Hold a read end open so the writer's open() does not block.
+  int Reader = ::open(Tmp.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(Reader, 0) << std::strerror(errno);
+  Expected<Unit> W = writeFileDurable(Path, "{\"type\":\"result\"}\n");
+  ::close(Reader);
+  EXPECT_FALSE(W.ok());
+  EXPECT_NE(::access(Path.c_str(), F_OK), 0) << "renamed into place";
+  EXPECT_NE(::access(Tmp.c_str(), F_OK), 0) << "tmp left behind";
+  std::remove(Path.c_str());
+  std::remove(Tmp.c_str());
+}
+
+#endif // !_WIN32
+
 //===--- Forked worker transport -----------------------------------------------//
 
 #ifndef _WIN32
@@ -300,6 +338,13 @@ TEST(EvalRecordTest, JsonRoundTripIsBitIdentical) {
   R.TimeSeconds = 0.0011016592592592593;
   R.SimSeconds = 1e-300;
   R.Cycles = 1487240;
+  EXPECT_EQ(R.toJson(),
+            "{\"idx\":42,\"point\":[64,16,-1,4,2],\"expr\":true,\"valid\":true,"
+            "\"eff\":0.33333333333333331,\"util\":162.41119691119692,"
+            "\"measured\":true,\"time\":0.0011016592592592593,"
+            "\"simsec\":1e-300,\"cycles\":1487240,"
+            "\"fastbw\":false,\"stall\":0,\"memwait\":0,\"bsm\":0,\"code\":0,"
+            "\"stage\":0,\"msg\":\"\"}");
 
   Expected<EvalRecord> Back = EvalRecord::fromJson(R.toJson());
   ASSERT_TRUE(Back.ok()) << Back.diag().Message;
@@ -589,8 +634,9 @@ TEST(SweepSignalsTest, InterruptedSweepDrainsGracefully) {
   Opts.JournalPath = tmpPath("sig_drain");
   Opts.Fingerprint = toyFp(toy100());
   Opts.OnProgress = [&](const SweepProgress &) {
-    if (++Committed == 3)
+    if (++Committed == 3) {
       ASSERT_EQ(raise(SIGINT), 0);
+    }
   };
   SweepReport Rep = SweepDriver(Engine, Opts).run(Engine.planExhaustive());
   EXPECT_EQ(Rep.Status, SweepStatus::Interrupted);

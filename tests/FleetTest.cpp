@@ -187,6 +187,11 @@ TEST(FleetProtocolTest, ShardRequestRoundTrip) {
   R.ShardIndex = 3;
   R.Begin = 6;
   R.End = 8;
+  EXPECT_EQ(R.toJson(),
+            "{\"type\":\"shard\",\"app\":\"matmul\",\"machine\":\"gtx\","
+            "\"strategy\":\"random\",\"space\":\"small\",\"seed\":7,"
+            "\"budget\":24,\"fastbw\":true,\"lint\":false,"
+            "\"plan_fp\":81985529216486895,\"shard\":3,\"begin\":6,\"end\":8}");
   EXPECT_EQ(frameType(R.toJson()), "shard");
   Expected<ShardRequest> Back = ShardRequest::fromJson(R.toJson());
   ASSERT_TRUE(Back.ok()) << Back.diag().Message;
@@ -215,6 +220,12 @@ TEST(FleetProtocolTest, ShardResultRoundTripPreservesRecordBytes) {
   // escapes inside must survive the array round-trip byte-for-byte.
   R.Records = {"{\"index\":4,\"cfg\":\"a \\\"quoted\\\" value\"}",
                "{\"index\":5,\"path\":\"C:\\\\tmp\"}"};
+  EXPECT_EQ(R.toJson(),
+            "{\"type\":\"shard_result\",\"shard\":2,\"plan_fp\":42,"
+            "\"begin\":4,\"end\":6,\"status\":\"completed\",\"records\":["
+            "\"{\\\"index\\\":4,\\\"cfg\\\":\\\"a \\\\\\\"quoted\\\\\\\" "
+            "value\\\"}\",\"{\\\"index\\\":5,\\\"path\\\":"
+            "\\\"C:\\\\\\\\tmp\\\"}\"]}");
   Expected<ShardResult> Back = ShardResult::fromJson(R.toJson());
   ASSERT_TRUE(Back.ok()) << Back.diag().Message;
   EXPECT_TRUE(Back->completed());
@@ -228,6 +239,10 @@ TEST(FleetProtocolTest, ShardResultRoundTripPreservesRecordBytes) {
   E.ShardIndex = 2;
   E.Status = "error";
   E.Error = "plan fingerprint mismatch";
+  EXPECT_EQ(E.toJson(),
+            "{\"type\":\"shard_result\",\"shard\":2,\"plan_fp\":0,"
+            "\"begin\":0,\"end\":0,\"status\":\"error\","
+            "\"error\":\"plan fingerprint mismatch\",\"records\":[]}");
   Expected<ShardResult> BackE = ShardResult::fromJson(E.toJson());
   ASSERT_TRUE(BackE.ok());
   EXPECT_FALSE(BackE->completed());
@@ -308,6 +323,22 @@ TEST(FleetCoordinatorTest, LocalOnlyRunIsByteIdenticalToOneDriver) {
   EXPECT_EQ(Rep.LocalShards, Rep.ShardsTotal);
   EXPECT_FALSE(Rep.Degraded); // No workers configured — local is normal.
   EXPECT_EQ(slurp(Dir + "/fleet.journal"), slurp(Ref));
+
+  // The spool is the plan manifest plus one result per shard (and the
+  // in-process executor's per-shard journals); no shard tickets.
+  EXPECT_EQ(slurp(Dir + "/spool/fleet.plan"),
+            "{\"type\":\"fleet_plan\",\"plan_fp\":" +
+                std::to_string(Rep.PlanFp) +
+                ",\"shards\":12,\"candidates\":24,\"shard_size\":2}\n");
+  uint64_t Results = 0;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(Dir + "/spool")) {
+    std::string Ext = Entry.path().extension().string();
+    Results += Ext == ".result";
+    EXPECT_TRUE(Ext == ".result" || Ext == ".plan" || Ext == ".journal")
+        << Entry.path();
+  }
+  EXPECT_EQ(Results, Rep.ShardsTotal);
 }
 
 TEST(FleetCoordinatorTest, RestartOnFinishedSpoolRecoversEverything) {
@@ -338,17 +369,19 @@ TEST(FleetCoordinatorTest, TornSpoolFilesQuarantinedNotFatal) {
   std::string Ref = Dir + "/ref.journal";
   writeReferenceJournal(fleetRequest(), Ref);
 
-  // A torn ticket and a torn result, as a crashed coordinator would
-  // leave them (writeFileDurable makes this near-impossible, but the
-  // invariant must hold for any bytes on disk).
+  // A torn result, as a crashed coordinator would leave it
+  // (writeFileDurable makes this near-impossible, but the invariant must
+  // hold for any bytes on disk).  The .job file is what older
+  // coordinators wrote per shard: it is ignored and left in place.
   std::ofstream(Dir + "/spool/shard-000000.job") << "torn{";
   std::ofstream(Dir + "/spool/shard-000001.result") << "also torn";
 
   FleetReport Rep = FleetCoordinator(fleetOptions(Dir)).run();
   ASSERT_EQ(Rep.Status, FleetStatus::Completed) << Rep.Error.Message;
-  EXPECT_GE(Rep.Warnings.size(), 2u);
+  EXPECT_EQ(Rep.Warnings.size(), 1u);
   EXPECT_TRUE(
       std::filesystem::exists(Dir + "/spool/shard-000001.result.bad"));
+  EXPECT_EQ(slurp(Dir + "/spool/shard-000000.job"), "torn{");
   EXPECT_EQ(slurp(Dir + "/fleet.journal"), slurp(Ref));
 }
 

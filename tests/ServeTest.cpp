@@ -24,6 +24,7 @@
 #include "serve/Server.h"
 #include "serve/Spool.h"
 #include "support/Backoff.h"
+#include "support/Journal.h"
 #include "support/Socket.h"
 
 #include <gtest/gtest.h>
@@ -32,8 +33,10 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -206,17 +209,26 @@ TEST(ServeProtocolTest, TuneRequestRoundTrip) {
   R.App = "sad";
   R.Machine = "nextgen";
   R.Strategy = "cluster";
+  R.Space = "large";
   R.Seed = 99;
   R.Budget = 7;
   R.FastBw = true;
   R.Lint = true;
   R.DeadlineSeconds = 12.5;
   R.Wait = true;
+  // Pinned bytes: a field-order or escaping slip must fail here, not
+  // only in a round trip through the same (slipped) code.
+  EXPECT_EQ(R.toJson(),
+            "{\"type\":\"tune\",\"app\":\"sad\",\"machine\":\"nextgen\","
+            "\"strategy\":\"cluster\",\"space\":\"large\",\"seed\":99,"
+            "\"budget\":7,\"fastbw\":true,\"lint\":true,\"deadline\":12.5,"
+            "\"wait\":true}");
   Expected<TuneRequest> Back = TuneRequest::fromJson(R.toJson());
   ASSERT_TRUE(Back.ok()) << Back.diag().Message;
   EXPECT_EQ(Back->App, R.App);
   EXPECT_EQ(Back->Machine, R.Machine);
   EXPECT_EQ(Back->Strategy, R.Strategy);
+  EXPECT_EQ(Back->Space, R.Space);
   EXPECT_EQ(Back->Seed, R.Seed);
   EXPECT_EQ(Back->Budget, R.Budget);
   EXPECT_EQ(Back->FastBw, R.FastBw);
@@ -266,6 +278,14 @@ TEST(ServeProtocolTest, TuneResultRoundTripIsDeterministic) {
   std::string Json = R.toJson();
   // Serialization is stable: the chaos test byte-compares result files.
   EXPECT_EQ(Json, R.toJson());
+  EXPECT_EQ(Json,
+            "{\"type\":\"result\",\"id\":\"req-000007\",\"app\":\"matmul\","
+            "\"machine\":\"gtx\",\"strategy\":\"random\",\"space\":\"small\","
+            "\"seed\":3,\"budget\":3,\"fastbw\":false,\"lint\":false,"
+            "\"status\":\"completed\",\"valid\":96,\"measured\":3,"
+            "\"quarantined\":1,\"best\":\"tile=16 rect=2\","
+            "\"best_time\":0.0012345678901234567,"
+            "\"total_measured_seconds\":0.5}");
   Expected<TuneResult> Back = TuneResult::fromJson(Json);
   ASSERT_TRUE(Back.ok()) << Back.diag().Message;
   EXPECT_EQ(Back->Id, R.Id);
@@ -276,6 +296,24 @@ TEST(ServeProtocolTest, TuneResultRoundTripIsDeterministic) {
   EXPECT_EQ(Back->Best, R.Best);
   EXPECT_DOUBLE_EQ(Back->BestTime, R.BestTime);
   EXPECT_EQ(Back->toJson(), Json);
+
+  // The error form adds "error" after "status", escaped.
+  TuneResult E;
+  E.Id = "req-000008";
+  E.Req = tinyRequest(4);
+  E.Status = "error";
+  E.Error = "deadline \"exceeded\"\n";
+  EXPECT_EQ(E.toJson(),
+            "{\"type\":\"result\",\"id\":\"req-000008\",\"app\":\"matmul\","
+            "\"machine\":\"gtx\",\"strategy\":\"random\",\"space\":\"small\","
+            "\"seed\":4,\"budget\":3,\"fastbw\":false,\"lint\":false,"
+            "\"status\":\"error\",\"error\":\"deadline \\\"exceeded\\\"\\n\","
+            "\"valid\":0,\"measured\":0,\"quarantined\":0,\"best\":\"\","
+            "\"best_time\":0,\"total_measured_seconds\":0}");
+  Expected<TuneResult> BackE = TuneResult::fromJson(E.toJson());
+  ASSERT_TRUE(BackE.ok()) << BackE.diag().Message;
+  EXPECT_EQ(BackE->Error, E.Error);
+  EXPECT_EQ(BackE->toJson(), E.toJson());
 }
 
 TEST(ServeProtocolTest, StatusRoundTrip) {
@@ -291,12 +329,67 @@ TEST(ServeProtocolTest, StatusRoundTrip) {
   S.UptimeSeconds = 12.25;
   S.Draining = true;
   EXPECT_DOUBLE_EQ(S.cacheHitRate(), 0.75);
+  EXPECT_EQ(S.toJson(),
+            "{\"type\":\"status\",\"queue_depth\":3,\"queue_limit\":16,"
+            "\"active\":2,\"completed\":40,\"shed\":5,\"recovered\":1,"
+            "\"cache_hits\":30,\"cache_misses\":10,\"cache_hit_rate\":0.75,"
+            "\"shards_served\":0,\"uptime_seconds\":12.25,\"draining\":true}");
   Expected<ServeStatus> Back = ServeStatus::fromJson(S.toJson());
   ASSERT_TRUE(Back.ok()) << Back.diag().Message;
   EXPECT_EQ(Back->QueueDepth, S.QueueDepth);
   EXPECT_EQ(Back->Shed, S.Shed);
   EXPECT_EQ(Back->Recovered, S.Recovered);
   EXPECT_TRUE(Back->Draining);
+}
+
+TEST(ServeProtocolTest, CannedFramesArePinned) {
+  EXPECT_EQ(acceptedFrame("req-000001"),
+            "{\"type\":\"accepted\",\"id\":\"req-000001\"}");
+  EXPECT_EQ(overloadedFrame(3, 16),
+            "{\"type\":\"overloaded\",\"error\":\"admission queue full\","
+            "\"queue_depth\":3,\"queue_limit\":16}");
+  EXPECT_EQ(errorFrame("bad \"app\"\tfield"),
+            "{\"type\":\"error\",\"error\":\"bad \\\"app\\\"\\tfield\"}");
+  EXPECT_EQ(progressFrame("req-000002", 5, 10, 1),
+            "{\"type\":\"progress\",\"id\":\"req-000002\",\"done\":5,"
+            "\"total\":10,\"quarantined\":1}");
+  EXPECT_EQ(okFrame(), "{\"type\":\"ok\"}");
+}
+
+TEST(ServeProtocolTest, GarbledNumbersKeepTheirDefaults) {
+  // Present-but-garbled fields keep their defaults (Budget 16, Seed 1,
+  // FastBw false): a string, a negative, an overflow, a non-integer and
+  // a bool with trailing junk are all garbled.
+  const TuneRequest Defaults;
+  for (const char *Field :
+       {"\"budget\":\"16\"", "\"budget\":-1", "\"budget\":32.0",
+        "\"seed\":99999999999999999999999", "\"fastbw\":truex"}) {
+    std::string Json =
+        std::string("{\"type\":\"tune\",\"app\":\"matmul\",") + Field + "}";
+    Expected<TuneRequest> R = TuneRequest::fromJson(Json);
+    ASSERT_TRUE(R.ok()) << Json << ": " << R.diag().Message;
+    EXPECT_EQ(R->Budget, Defaults.Budget) << Json;
+    EXPECT_EQ(R->Seed, Defaults.Seed) << Json;
+    EXPECT_EQ(R->FastBw, Defaults.FastBw) << Json;
+  }
+
+  // Every %.17g value reads back bit for bit, including the extremes.
+  for (double V : {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::max(),
+                   std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    TuneResult Res;
+    Res.Id = "req-000001";
+    Res.Req = tinyRequest(1);
+    Res.Status = "completed";
+    Res.BestTime = V;
+    Expected<TuneResult> Back = TuneResult::fromJson(Res.toJson());
+    ASSERT_TRUE(Back.ok()) << Res.toJson();
+    uint64_t Want = 0, Got = 0;
+    std::memcpy(&Want, &V, sizeof(V));
+    std::memcpy(&Got, &Back->BestTime, sizeof(V));
+    EXPECT_EQ(Got, Want) << Res.toJson();
+  }
 }
 
 //===--- RequestQueue ---------------------------------------------------------//
@@ -354,7 +447,7 @@ TEST(SpoolTest, TicketResultAndRecoveryInvariant) {
 
   // Complete B only: recovery must list exactly A and C, in id order.
   ASSERT_TRUE(Sp->writeResult(*B, "{\"type\":\"result\"}").ok());
-  Expected<std::string> Read = Sp->readResult(*B);
+  Expected<std::string> Read = readFile(Sp->resultPath(*B));
   ASSERT_TRUE(Read.ok());
   EXPECT_NE(Read->find("result"), std::string::npos);
 

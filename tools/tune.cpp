@@ -112,6 +112,7 @@
 #include "analysis/Lint.h"
 #include "analysis/Verifier.h"
 #include "support/Journal.h"
+#include "support/Json.h"
 #include "support/Csv.h"
 #include "support/FaultInjection.h"
 #include "support/Format.h"
@@ -128,7 +129,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 
 using namespace g80;
@@ -968,14 +968,12 @@ int cmdInspect(std::map<std::string, std::string> Flags) {
     std::cerr << "error: need --file\n";
     return usage();
   }
-  std::ifstream In(Flags["file"]);
-  if (!In) {
-    std::cerr << "error: cannot open '" << Flags["file"] << "'\n";
+  Expected<std::string> Text = readFile(Flags["file"]);
+  if (!Text) {
+    std::cerr << "error: " << Text.diag().Message << "\n";
     return ExitParseVerify;
   }
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  Expected<Kernel> R = parseKernel(Buf.str());
+  Expected<Kernel> R = parseKernel(*Text);
   if (!R) {
     std::cerr << Flags["file"] << ":" << R.diag().Line
               << ": error: " << R.diag().Message << "\n";
