@@ -73,6 +73,10 @@ ScopedSweepSignalHandlers::~ScopedSweepSignalHandlers() {
 
 namespace {
 
+/// Attempts a configuration gets in isolated workers before it is
+/// quarantined: the original try plus one retry.
+constexpr unsigned MaxWorkerAttempts = 2;
+
 Diagnostic sweepError(std::string Msg) {
   return makeDiag(ErrorCode::JournalError, Stage::Parse, std::move(Msg));
 }
@@ -119,11 +123,6 @@ struct DriveState {
   bool stopRequested() const {
     return sweepInterruptRequested() ||
            (Opts.ShouldStop && Opts.ShouldStop());
-  }
-
-  /// Attempts a configuration gets before quarantine (0 acts as 1).
-  unsigned maxAttempts() const {
-    return std::max(1u, Opts.MaxWorkerAttempts);
   }
 
   void warn(std::string Msg) { Rep.Warnings.push_back(std::move(Msg)); }
@@ -214,7 +213,7 @@ struct DriveState {
     ConfigEval &E = out().Evals[Idx];
     E.Failure = makeDiag(Code, Stage::Simulate,
                          Why + " (config #" + std::to_string(E.FlatIndex) +
-                             ", after " + std::to_string(maxAttempts()) +
+                             ", after " + std::to_string(MaxWorkerAttempts) +
                              " attempts)");
     complete(Idx);
   }
@@ -343,7 +342,7 @@ bool runIsolated(DriveState &D, std::deque<size_t> &Todo) {
       size_t Victim = Shard[Received];
       unsigned &A = D.Attempts[D.out().Evals[Victim].FlatIndex];
       ++A;
-      if (A < D.maxAttempts()) {
+      if (A < MaxWorkerAttempts) {
         ++D.Rep.WorkerRetries;
         traceCount("sweep.worker_retries");
         Todo.push_front(Victim);

@@ -99,10 +99,6 @@ struct SweepOptions {
   double TaskTimeoutSeconds = 30.0;
   /// Candidates per forked worker.
   size_t ShardSize = 8;
-  /// Total attempts a configuration gets in isolated workers before it is
-  /// quarantined (2 = the original try plus one retry, the historical
-  /// policy).  0 is treated as 1.
-  unsigned MaxWorkerAttempts = 2;
   /// Pacing between attempts: exponential with deterministic jitter,
   /// salted by the configuration's flat index (see support/Backoff.h).
   BackoffPolicy RetryBackoff;

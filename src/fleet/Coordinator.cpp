@@ -8,6 +8,7 @@
 
 #include "core/Search.h"
 #include "serve/Shard.h"
+#include "support/Backoff.h"
 #include "support/Journal.h"
 #include "support/Trace.h"
 
@@ -26,6 +27,12 @@
 using namespace g80;
 
 namespace {
+
+/// Floor under the hedge threshold, so tiny shards don't hedge wildly.
+constexpr double HedgeMinSeconds = 1.0;
+
+/// Reconnect pacing for failed workers.
+constexpr BackoffPolicy ReconnectBackoff{};
 
 Diagnostic fleetDiag(std::string Msg) {
   return makeDiag(ErrorCode::SocketError, Stage::Parse, std::move(Msg));
@@ -153,13 +160,7 @@ struct FleetCoordinator::Impl {
     SpaceTier Tier = SpaceTier::Small;
     (void)parseSpaceTier(Opts.Request.Space, Tier); // Validated above.
     App = makeServeApp(Opts.Request.App, Tier);
-    if (!App)
-      return fleetDiag("unknown app '" + Opts.Request.App + "'");
-    SimOptions SimO;
-    SimO.BandwidthFastPath = Opts.Request.FastBw;
-    Eng = std::make_unique<SearchEngine>(
-        *App, makeServeMachine(Opts.Request.Machine), MetricOptions{}, SimO,
-        FaultPlan{}, LintOptions{Opts.Request.Lint});
+    Eng = makeServeEngine(*App, Opts.Request);
     SweepPlan Plan = planForRequest(*Eng, Opts.Request, Opts.Jobs);
     Header = fingerprintForRequest(*App, *Eng, Plan, Opts.Request);
     Partition = ShardPlan::partition(Plan.Candidates.size(),
@@ -341,7 +342,7 @@ struct FleetCoordinator::Impl {
       ++FailStreak;
       traceCount("fleet.worker_failure");
       warn("worker " + Pool.endpoint(W).Label + ": " + Why);
-      sleepInterruptible(Opts.ReconnectBackoff.delaySeconds(
+      sleepInterruptible(ReconnectBackoff.delaySeconds(
           std::min(FailStreak, 12u), Salt ^ (uint64_t(W) << 32)));
     };
 
@@ -352,7 +353,7 @@ struct FleetCoordinator::Impl {
           Pool.setHealthy(W, false);
           Pool.noteFailure(W);
           ++FailStreak;
-          sleepInterruptible(Opts.ReconnectBackoff.delaySeconds(
+          sleepInterruptible(ReconnectBackoff.delaySeconds(
               std::min(FailStreak, 12u), uint64_t(W)));
           continue;
         }
@@ -483,7 +484,7 @@ struct FleetCoordinator::Impl {
           size_t Idx = size_t(Opts.HedgePercentile *
                                   double(Sorted.size() - 1) +
                               0.5);
-          double Threshold = std::max(Opts.HedgeMinSeconds,
+          double Threshold = std::max(HedgeMinSeconds,
                                       Sorted[std::min(Idx, Sorted.size() - 1)]);
           for (uint64_t I = 0; I != Shards.size(); ++I) {
             Shard &S = Shards[size_t(I)];

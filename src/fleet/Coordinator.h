@@ -37,7 +37,6 @@
 #include "fleet/ShardPlan.h"
 #include "fleet/WorkerPool.h"
 #include "serve/Protocol.h"
-#include "support/Backoff.h"
 #include "support/Status.h"
 
 #include <cstdint>
@@ -105,13 +104,9 @@ struct FleetOptions {
   /// Straggler threshold: hedge an in-flight shard once it exceeds this
   /// percentile of completed-shard durations (needs >= 3 completions).
   double HedgePercentile = 0.95;
-  /// Floor under the hedge threshold, so tiny shards don't hedge wildly.
-  double HedgeMinSeconds = 1.0;
   /// Degrade to coordinator-local in-process execution when no remote
   /// worker is healthy.
   bool AllowLocal = true;
-  /// Reconnect pacing for failed workers.
-  BackoffPolicy ReconnectBackoff;
   std::function<void(const FleetProgress &)> OnProgress;
   /// Checked continuously; true interrupts the run resumably.
   std::function<bool()> ShouldStop;

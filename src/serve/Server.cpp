@@ -146,6 +146,9 @@ ServeStatus TuneServer::status() const {
 
 std::shared_ptr<TuneServer::Engine>
 TuneServer::engineFor(const TuneRequest &Req, std::string &Error) {
+  // Recovered tickets were never admitted by this build: check them too.
+  if (!validateServeRequest(Req, Error))
+    return nullptr;
   std::string Key = Req.App + "|" + Req.Machine + "|" + Req.Space +
                     (Req.FastBw ? "|fastbw" : "") +
                     (Req.Lint ? "|lint" : "");
@@ -160,18 +163,9 @@ TuneServer::engineFor(const TuneRequest &Req, std::string &Error) {
   traceCount("serve.engine_misses");
   auto E = std::make_shared<Engine>();
   SpaceTier Tier = SpaceTier::Small;
-  (void)parseSpaceTier(Req.Space, Tier); // Validated at admission.
+  (void)parseSpaceTier(Req.Space, Tier); // Validated above.
   E->App = makeServeApp(Req.App, Tier);
-  if (!E->App) {
-    Error = "unknown app '" + Req.App + "'";
-    return nullptr;
-  }
-  SimOptions SimO;
-  SimO.BandwidthFastPath = Req.FastBw;
-  E->Eng = std::make_unique<SearchEngine>(*E->App,
-                                          makeServeMachine(Req.Machine),
-                                          MetricOptions{}, SimO, FaultPlan{},
-                                          LintOptions{Req.Lint});
+  E->Eng = makeServeEngine(*E->App, Req);
   EngineRegistry[Key] = E;
   return E;
 }
@@ -253,6 +247,7 @@ void TuneServer::runJob(const std::shared_ptr<ServeJob> &Job) {
   SOpts.JournalPath = Requests.journalPath(Job->Id);
   SOpts.Resume = std::filesystem::exists(SOpts.JournalPath);
   SOpts.Jobs = Opts.Jobs;
+  SOpts.Isolate = Opts.Isolate;
   SOpts.OnProgress = [Job](const SweepProgress &P) {
     Job->Done.store(P.Done, std::memory_order_relaxed);
     Job->Total.store(P.Total, std::memory_order_relaxed);
@@ -265,38 +260,7 @@ void TuneServer::runJob(const std::shared_ptr<ServeJob> &Job) {
   SOpts.ShouldStop = [&Expired] {
     return Expired() || sweepForceQuitRequested();
   };
-
-  SOpts.Isolate = Opts.Isolate;
-
-  SweepReport Rep;
-  if (serveStrategyIsPlannable(Req)) {
-    SweepPlan Plan = planForRequest(*E->Eng, Req, Opts.Jobs);
-    Job->Total.store(Plan.Candidates.size(), std::memory_order_relaxed);
-    SOpts.Fingerprint = fingerprintForRequest(*E->App, *E->Eng, Plan, Req);
-    Rep = SweepDriver(*E->Eng, SOpts).run(std::move(Plan));
-  } else {
-    // Adaptive strategies (greedy/anneal/genetic) have no up-front plan;
-    // their cursor runs through the same driver and journal, so
-    // kill+restart recovery replays exactly like the plannable path.
-    StrategyKind Kind = StrategyKind::Pareto;
-    (void)parseStrategy(Req.Strategy, Kind); // Validated at admission.
-    Job->Total.store(Req.Budget, std::memory_order_relaxed);
-    JournalHeader H;
-    H.App = std::string(E->App->name());
-    H.Machine = E->Eng->evaluator().machine().Name;
-    H.Strategy = strategyName(Kind);
-    H.Seed = Req.Seed;
-    H.Budget = Req.Budget;
-    H.RawSize = E->App->space().rawSize();
-    H.Space = Req.Space;
-    // No plan to scan for quarantines: lint joins the fingerprint
-    // whenever armed, matching the CLI's adaptive path.
-    H.Extra = std::string(Req.FastBw ? "|fastbw" : "") +
-              (Req.Lint ? "|lint" : "");
-    SOpts.Fingerprint = H;
-    Rep = runAdaptiveSweep(*E->Eng, Kind,
-                           strategyOptionsForRequest(Req, Opts.Jobs), SOpts);
-  }
+  SweepReport Rep = runRequest(*E->App, *E->Eng, Req, std::move(SOpts));
 
   if (Rep.Status == SweepStatus::Error)
     return FailDurable(Rep.Error.Message);
@@ -340,8 +304,6 @@ std::string TuneServer::runShard(const ShardRequest &SReq) {
   if (Draining.load(std::memory_order_acquire) || sweepInterruptRequested())
     return errorFrame("daemon is draining; not accepting new requests");
   std::string Error;
-  if (!validateServeRequest(SReq.Tune, Error))
-    return errorFrame(Error);
   std::shared_ptr<Engine> E = engineFor(SReq.Tune, Error);
   if (!E)
     return errorFrame(Error);

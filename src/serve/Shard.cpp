@@ -13,6 +13,7 @@
 #include "kernels/MriFhd.h"
 #include "kernels/Sad.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <utility>
 
@@ -37,13 +38,17 @@ MachineModel g80::makeServeMachine(const std::string &Name) {
   return MachineModel::geForce8800Gtx();
 }
 
+bool g80::isServeMachine(std::string_view Name) {
+  return Name == "gtx" || Name == "nextgen";
+}
+
 bool g80::validateServeRequest(const TuneRequest &Req, std::string &Error) {
   if (Req.App != "matmul" && Req.App != "cp" && Req.App != "sad" &&
       Req.App != "mri" && Req.App != "mri-fhd") {
     Error = "unknown app '" + Req.App + "'";
     return false;
   }
-  if (Req.Machine != "gtx" && Req.Machine != "nextgen") {
+  if (!isServeMachine(Req.Machine)) {
     Error = "unknown machine '" + Req.Machine + "'";
     return false;
   }
@@ -54,11 +59,21 @@ bool g80::validateServeRequest(const TuneRequest &Req, std::string &Error) {
   }
   SpaceTier Tier;
   if (!parseSpaceTier(Req.Space, Tier)) {
-    Error = "unknown space tier '" + Req.Space +
-            "' (serve supports small|large)";
+    Error = "unknown space tier '" + Req.Space + "' (expected small|large)";
     return false;
   }
   return true;
+}
+
+std::unique_ptr<SearchEngine> g80::makeServeEngine(const TunableApp &App,
+                                                   const TuneRequest &Req,
+                                                   FaultPlan Faults,
+                                                   SimOptions SimO) {
+  SimO.BandwidthFastPath = Req.FastBw;
+  return std::make_unique<SearchEngine>(App, makeServeMachine(Req.Machine),
+                                        MetricOptions{}, SimO,
+                                        std::move(Faults),
+                                        LintOptions{Req.Lint});
 }
 
 bool g80::serveStrategyIsPlannable(const TuneRequest &Req) {
@@ -68,15 +83,11 @@ bool g80::serveStrategyIsPlannable(const TuneRequest &Req) {
 
 SweepPlan g80::planForRequest(const SearchEngine &Eng, const TuneRequest &Req,
                               unsigned Jobs) {
-  StrategyOptions Opts;
-  Opts.Seed = Req.Seed;
-  Opts.Budget = Req.Budget;
-  Opts.Jobs = Jobs;
   StrategyKind Kind;
   if (!parseStrategy(Req.Strategy, Kind) || !strategyIsPlannable(Kind))
     Kind = StrategyKind::Pareto; // Callers validate first; keep the old
                                  // pareto default for anything else.
-  return planForStrategy(Eng, Kind, Opts);
+  return planForStrategy(Eng, Kind, strategyOptionsForRequest(Req, Jobs));
 }
 
 StrategyOptions g80::strategyOptionsForRequest(const TuneRequest &Req,
@@ -88,29 +99,57 @@ StrategyOptions g80::strategyOptionsForRequest(const TuneRequest &Req,
   return Opts;
 }
 
-JournalHeader g80::fingerprintForRequest(const TunableApp &App,
-                                         const SearchEngine &Eng,
-                                         const SweepPlan &Plan,
-                                         const TuneRequest &Req) {
+namespace {
+
+/// The journal header of every front end.  The fast path and the lint gate
+/// change results, so a journal written with either resumes only with it.
+JournalHeader requestHeader(const TunableApp &App, const SearchEngine &Eng,
+                            const TuneRequest &Req, std::string Strategy,
+                            bool LintInHeader, std::string_view InjectSpec) {
   JournalHeader H;
   H.App = std::string(App.name());
   H.Machine = Eng.evaluator().machine().Name;
-  H.Strategy = Plan.Strategy;
+  H.Strategy = std::move(Strategy);
   H.Seed = Req.Seed;
   H.Budget = Req.Budget;
   H.RawSize = App.space().rawSize();
   H.Space = Req.Space;
-  // Mirrors tune.cpp's fingerprint Extra (inject spec is always empty in
-  // serve/fleet), so the CLI can --resume or report these journals.
-  bool LintQuarantined = false;
-  for (const ConfigEval &Ev : Plan.Evals)
-    if (Ev.failed() && Ev.Failure.At == Stage::Lint) {
-      LintQuarantined = true;
-      break;
-    }
-  H.Extra = std::string(Req.FastBw ? "|fastbw" : "") +
-            (LintQuarantined ? "|lint" : "");
+  H.Extra = std::string(InjectSpec) + (Req.FastBw ? "|fastbw" : "") +
+            (LintInHeader ? "|lint" : "");
   return H;
+}
+
+} // namespace
+
+JournalHeader g80::fingerprintForRequest(const TunableApp &App,
+                                         const SearchEngine &Eng,
+                                         const SweepPlan &Plan,
+                                         const TuneRequest &Req,
+                                         std::string_view InjectSpec) {
+  bool LintQuarantined = std::any_of(
+      Plan.Evals.begin(), Plan.Evals.end(), [](const ConfigEval &E) {
+        return E.failed() && E.Failure.At == Stage::Lint;
+      });
+  return requestHeader(App, Eng, Req, Plan.Strategy, LintQuarantined,
+                       InjectSpec);
+}
+
+SweepReport g80::runRequest(const TunableApp &App, const SearchEngine &Eng,
+                            const TuneRequest &Req, SweepOptions Opts,
+                            std::string_view InjectSpec) {
+  StrategyKind Kind = StrategyKind::Pareto;
+  (void)parseStrategy(Req.Strategy, Kind); // Validated by the caller.
+  StrategyOptions StratO = strategyOptionsForRequest(Req, Opts.Jobs);
+  if (strategyIsPlannable(Kind)) {
+    SweepPlan Plan = planForStrategy(Eng, Kind, StratO);
+    Opts.Fingerprint = fingerprintForRequest(App, Eng, Plan, Req, InjectSpec);
+    return SweepDriver(Eng, std::move(Opts)).run(std::move(Plan));
+  }
+  // Adaptive strategies evaluate statics lazily, so there is no plan to
+  // scan for lint quarantines: lint joins the header whenever armed.
+  Opts.Fingerprint =
+      requestHeader(App, Eng, Req, strategyName(Kind), Req.Lint, InjectSpec);
+  return runAdaptiveSweep(Eng, Kind, StratO, Opts);
 }
 
 uint64_t g80::planFingerprint(const JournalHeader &Header,

@@ -1,16 +1,17 @@
-//===- serve/Shard.h - Deterministic shard planning and execution ---------===//
+//===- serve/Shard.h - One request path for every front end ---------------===//
 //
 // Part of g80tune.  SPDX-License-Identifier: MIT
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared substrate of fleet mode: both the worker daemon (serving
-/// "shard" frames) and the coordinator (planning the partition, and
-/// executing shards in-process when every worker is gone) must derive
-/// *exactly* the same sweep plan, journal fingerprint, and plan
-/// fingerprint from a TuneRequest — that is what makes shards idempotent
-/// and the merged journal byte-identical to a single-daemon run.
+/// The one request path: `tune search`, the serve executor, a worker
+/// serving "shard" frames, and the fleet coordinator (planning the
+/// partition, and running shards in-process when every worker is gone)
+/// derive *exactly* the same engine, sweep plan, journal header and plan
+/// fingerprint from a TuneRequest here.  That is what makes a request's
+/// journal the same bytes on every front end, shards idempotent, and the
+/// merged journal byte-identical to a single-daemon run.
 ///
 /// The plan fingerprint hashes the journal header together with the
 /// ordered candidate flat indices, so any skew in app space, machine
@@ -30,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 
 namespace g80 {
 
@@ -38,16 +40,27 @@ namespace g80 {
 std::unique_ptr<TunableApp> makeServeApp(const std::string &Name,
                                          SpaceTier Tier = SpaceTier::Small);
 
-/// gtx (default) | nextgen.
+/// gtx (default) | nextgen; any other name is the GTX.
 MachineModel makeServeMachine(const std::string &Name);
+
+/// Whether \p Name is gtx or nextgen.
+bool isServeMachine(std::string_view Name);
 
 /// Whether \p Req names a servable app/machine/strategy/space; on failure
 /// \p Error says which field is wrong.
 bool validateServeRequest(const TuneRequest &Req, std::string &Error);
 
+/// The engine \p Req asks for over \p App: its machine, fast path and
+/// lint gate.  \p Faults and \p SimO's engine choice come from `tune
+/// search --inject` and `--sim-engine`; the wire carries neither.
+std::unique_ptr<SearchEngine> makeServeEngine(const TunableApp &App,
+                                              const TuneRequest &Req,
+                                              FaultPlan Faults = {},
+                                              SimOptions SimO = {});
+
 /// Whether \p Req's strategy has an up-front candidate plan.  Adaptive
 /// strategies (greedy/anneal/genetic) run as whole jobs through
-/// runAdaptiveSweep and can never be sharded.
+/// runRequest and can never be sharded.
 bool serveStrategyIsPlannable(const TuneRequest &Req);
 
 /// Re-derives the deterministic plan \p Req names.  Identical for any
@@ -61,13 +74,22 @@ SweepPlan planForRequest(const SearchEngine &Eng, const TuneRequest &Req,
 StrategyOptions strategyOptionsForRequest(const TuneRequest &Req,
                                           unsigned Jobs);
 
-/// The journal fingerprint header for \p Req's plan — byte-compatible
-/// with what `tune search` and `tune serve` write, so fleet journals can
-/// be resumed/reported by the CLI directly.
+/// The journal header for \p Req's plan.  Its extra field is \p InjectSpec
+/// (`tune search --inject`), "|fastbw" for the fast path, then "|lint" if
+/// the lint gate quarantined something: a clean plan ignores the gate.
 JournalHeader fingerprintForRequest(const TunableApp &App,
                                     const SearchEngine &Eng,
                                     const SweepPlan &Plan,
-                                    const TuneRequest &Req);
+                                    const TuneRequest &Req,
+                                    std::string_view InjectSpec = {});
+
+/// Runs a valid \p Req on \p Eng, the path of every whole-request front
+/// end: plans it (with \p Opts.Jobs threads) or builds its adaptive
+/// cursor, fills \p Opts.Fingerprint, and drives the SweepDriver.  An
+/// adaptive header carries "|lint" whenever the gate is armed.
+SweepReport runRequest(const TunableApp &App, const SearchEngine &Eng,
+                       const TuneRequest &Req, SweepOptions Opts,
+                       std::string_view InjectSpec = {});
 
 /// Order-sensitive FNV-1a-64 over the header JSON plus every candidate
 /// flat index — the shard idempotency key's plan half.

@@ -22,8 +22,10 @@
 #include "serve/Client.h"
 #include "serve/RequestQueue.h"
 #include "serve/Server.h"
+#include "serve/Shard.h"
 #include "serve/Spool.h"
 #include "support/Backoff.h"
+#include "support/FaultInjection.h"
 #include "support/Journal.h"
 #include "support/Socket.h"
 
@@ -514,6 +516,76 @@ TEST(SweepDriverTest, ShouldStopCancelsAtRecordBoundary) {
   EXPECT_LT(Committed.load(), 100);
 }
 
+//===--- The one request path --------------------------------------------------//
+
+/// Runs \p Req through runRequest with \p Inject armed the way
+/// `tune search --inject` arms it, and returns the journal's header line.
+std::string requestHeaderLine(const char *Name, const TuneRequest &Req,
+                              const std::string &Inject) {
+  std::unique_ptr<TunableApp> App = makeServeApp(Req.App);
+  FaultPlan Faults;
+  if (!Inject.empty()) {
+    Expected<FaultPlan> Parsed = parseFaultPlan(Inject);
+    EXPECT_TRUE(Parsed.ok()) << Parsed.diag().Message;
+    Faults = Parsed.takeValue();
+  }
+  std::unique_ptr<SearchEngine> Eng =
+      makeServeEngine(*App, Req, std::move(Faults));
+  SweepOptions Opts;
+  Opts.JournalPath = tmpDir(Name);
+  Opts.Jobs = 2;
+  SweepReport Rep = runRequest(*App, *Eng, Req, Opts, Inject);
+  EXPECT_EQ(Rep.Status, SweepStatus::Completed) << Rep.Error.Message;
+  std::string Bytes = slurp(Opts.JournalPath);
+  return Bytes.substr(0, Bytes.find('\n'));
+}
+
+// The literals are `tune search --journal` header lines for the same
+// flags, so the CLI, serve and fleet agree with journals already on disk.
+// The extra field is the --inject text, then |fastbw, then |lint: for a
+// plan "the gate quarantined something", for an adaptive search "the gate
+// is armed".
+TEST(RequestPathTest, PlanHeadersMatchTuneSearch) {
+  TuneRequest Req;
+  Req.App = "matmul";
+  Req.Strategy = "exhaustive";
+  Req.Lint = true;
+  EXPECT_EQ(requestHeaderLine("hdr_inject_lint", Req, "lint@5,lint@17"),
+            "{\"g80journal\":1,\"crc\":\"05d30503d3cfdc1e\",\"hdr\":{"
+            "\"app\":\"matmul\",\"machine\":\"GeForce 8800 GTX\","
+            "\"strategy\":\"exhaustive\",\"seed\":1,\"budget\":16,"
+            "\"raw\":96,\"space\":\"small\","
+            "\"extra\":\"lint@5,lint@17|lint\"}}");
+  // The gate armed but nothing quarantined: no |lint.
+  EXPECT_EQ(requestHeaderLine("hdr_clean_lint", Req, ""),
+            "{\"g80journal\":1,\"crc\":\"e6594ff7ae4bcfa6\",\"hdr\":{"
+            "\"app\":\"matmul\",\"machine\":\"GeForce 8800 GTX\","
+            "\"strategy\":\"exhaustive\",\"seed\":1,\"budget\":16,"
+            "\"raw\":96,\"space\":\"small\",\"extra\":\"\"}}");
+
+  Req = TuneRequest();
+  Req.App = "sad";
+  Req.FastBw = true;
+  EXPECT_EQ(requestHeaderLine("hdr_fastbw", Req, ""),
+            "{\"g80journal\":1,\"crc\":\"d50b36504c9b36ee\",\"hdr\":{"
+            "\"app\":\"sad\",\"machine\":\"GeForce 8800 GTX\","
+            "\"strategy\":\"pareto\",\"seed\":1,\"budget\":16,"
+            "\"raw\":1620,\"space\":\"small\",\"extra\":\"|fastbw\"}}");
+}
+
+TEST(RequestPathTest, AdaptiveHeaderMatchesTuneSearch) {
+  TuneRequest Req;
+  Req.App = "matmul";
+  Req.Strategy = "greedy";
+  Req.Budget = 10;
+  Req.Lint = true;
+  EXPECT_EQ(requestHeaderLine("hdr_adaptive", Req, "crash@6"),
+            "{\"g80journal\":1,\"crc\":\"0f5f034048146172\",\"hdr\":{"
+            "\"app\":\"matmul\",\"machine\":\"GeForce 8800 GTX\","
+            "\"strategy\":\"greedy\",\"seed\":1,\"budget\":10,"
+            "\"raw\":96,\"space\":\"small\",\"extra\":\"crash@6|lint\"}}");
+}
+
 } // namespace
 
 //===--- Daemon end to end -----------------------------------------------------//
@@ -677,6 +749,40 @@ TEST(ServeEndToEndTest, InvalidRequestsRejectedBeforeTicketing) {
   // Nothing was ticketed: a rejected request must not recover.
   EXPECT_FALSE(
       std::filesystem::exists(SO.SpoolDir + "/req-000001.job"));
+}
+
+TEST(ServeEndToEndTest, UnservableRecoveredTicketGetsAnErrorResult) {
+  if (!socketsSupported())
+    GTEST_SKIP() << "no sockets on this platform";
+  // A ticket admission never checked (an older build's, or edited by
+  // hand) must end in a durable error, not take the daemon down.
+  ServeOptions SO;
+  SO.SpoolDir = tmpDir("unservable");
+  SO.TcpPort = 0;
+  SO.Executors = 1;
+  {
+    Expected<Spool> Sp = Spool::open(SO.SpoolDir);
+    ASSERT_TRUE(Sp.ok());
+    TuneRequest Bad = tinyRequest(1);
+    Bad.Strategy = "hillclimb";
+    ASSERT_TRUE(Sp->createTicket(Bad).ok());
+  }
+  TuneServer Server(SO);
+  ASSERT_TRUE(Server.start().ok());
+  std::thread T([&] { Server.serve(); });
+  std::string ResultPath = SO.SpoolDir + "/req-000001.result";
+  EXPECT_TRUE(waitFor(30, [&] {
+    return std::filesystem::exists(ResultPath);
+  }));
+  Expected<TuneResult> Res = TuneResult::fromJson(slurp(ResultPath));
+  ASSERT_TRUE(Res.ok()) << Res.diag().Message;
+  EXPECT_EQ(Res->Status, "error");
+  EXPECT_EQ(Res->Error, "unknown strategy 'hillclimb'");
+
+  Expected<ServeClient> Client = ServeClient::connect("", Server.port());
+  ASSERT_TRUE(Client.ok());
+  ASSERT_TRUE(Client->shutdown(10).ok());
+  T.join();
 }
 
 TEST(ServeEndToEndTest, EngineRegistrySharesAcrossRequests) {

@@ -9,14 +9,17 @@
 //   tune list
 //       List the built-in applications and their optimization spaces.
 //
-//   tune search --app <name> [--strategy pareto|exhaustive|cluster|
-//                             random|greedy] [--machine gtx|nextgen]
-//                            [--budget N] [--seed N] [--inject SPEC]
-//                            [--jobs N] [--fast-bw] [--lint]
+//   tune search --app <name> [--strategy pareto|exhaustive|cluster|random|
+//                             greedy|anneal|genetic] [--space small|large]
+//                            [--machine gtx|nextgen] [--budget N] [--seed N]
+//                            [--inject SPEC] [--jobs N] [--fast-bw] [--lint]
 //                            [--sim-engine event|scan]
 //                            [--journal FILE [--resume]] [--isolate]
 //                            [--task-timeout S] [--shard N] [--out FILE.csv]
-//       Run a search strategy and print the outcome (Table-4 style).
+//                            [--trace FILE.jsonl] [--progress]
+//       Run a search strategy and print the outcome (Table-4 style)
+//       through serve/Shard.h's runRequest, the daemon's and the fleet's
+//       path.  --space picks the config-space tier (large: ~10^5 points).
 //       --inject arms the deterministic fault injector (see
 //       support/FaultInjection.h for the SPEC grammar); quarantined
 //       configurations are reported per pipeline stage.
@@ -44,7 +47,8 @@
 //       stderr (configs/sec, ETA, quarantines).  Neither can change
 //       results or journal bytes.
 //
-// Exit codes: 0 success, 2 bad usage (incl. stale/corrupt journal),
+// Exit codes: 0 success, 2 bad usage (an unknown flag, a flag missing its
+// value, an unknown app/machine/strategy/space, a stale/corrupt journal),
 // 3 parse/verify failure, 4 evaluation failure (nothing could be
 // measured), 5 interrupted by SIGINT/SIGTERM (journal is resumable),
 // 6 `tune serve` force-quit by a second signal (spool is resumable),
@@ -65,11 +69,12 @@
 //       simulating anything.  Exits 4 when any error-severity finding
 //       exists, so the command doubles as a CI gate.
 //
-//   tune show --app <name> --config "v1,v2,..."
+//   tune show --app <name> --config "v1,v2,..." [--machine gtx|nextgen]
 //       Print the generated kernel for one configuration plus its
 //       static metrics.
 //
 //   tune inspect --file <kernel.ptx> --block X[,Y] --grid X[,Y]
+//                [--machine gtx|nextgen]
 //       Parse a kernel from text (the printer's syntax), verify it, and
 //       report resources, occupancy, profile and metrics — the
 //       `nvcc -ptx/-cubin` workflow of §2.3 in one command.
@@ -98,14 +103,10 @@
 #include "core/EvalRecord.h"
 #include "core/Report.h"
 #include "core/Search.h"
-#include "core/SearchStrategy.h"
 #include "core/SweepDriver.h"
 #include "fleet/Coordinator.h"
 #include "serve/Server.h"
-#include "kernels/Cp.h"
-#include "kernels/MatMul.h"
-#include "kernels/MriFhd.h"
-#include "kernels/Sad.h"
+#include "serve/Shard.h"
 #include "metrics/Metrics.h"
 #include "ptx/Parser.h"
 #include "ptx/Printer.h"
@@ -122,14 +123,16 @@
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 using namespace g80;
 
@@ -167,10 +170,13 @@ int usage() {
          "               [--out FILE.csv] [--trace FILE.jsonl] [--progress]\n"
          "  tune report  <journal-or-csv> [--trace FILE.jsonl] [--top N] "
          "[--format text|json]\n"
-         "  tune lint    <matmul|cp|sad|mri> [--config \"v1,v2,...\"] "
-         "[--format text|json]\n"
-         "  tune show    --app <name> --config \"v1,v2,...\"\n"
+         "  tune lint    <matmul|cp|sad|mri> | --app <name> "
+         "[--config \"v1,v2,...\"]\n"
+         "               [--format text|json]\n"
+         "  tune show    --app <name> --config \"v1,v2,...\" "
+         "[--machine gtx|nextgen]\n"
          "  tune inspect --file <kernel.ptx> --block X[,Y] --grid X[,Y]\n"
+         "               [--machine gtx|nextgen]\n"
          "  tune serve   --spool DIR [--socket PATH | --tcp-port N]\n"
          "               [--queue-limit N] [--executors N] [--jobs N]\n"
          "               [--isolate] [--deadline S] [--trace FILE.jsonl]\n"
@@ -187,110 +193,143 @@ int usage() {
   return ExitUsage;
 }
 
-std::unique_ptr<TunableApp> makeApp(const std::string &Name,
-                                    SpaceTier Tier = SpaceTier::Small) {
-  if (Name == "matmul")
-    return std::make_unique<MatMulApp>(MatMulProblem::bench(), Tier);
-  if (Name == "cp")
-    return std::make_unique<CpApp>(CpProblem::bench(), Tier);
-  if (Name == "sad")
-    return std::make_unique<SadApp>(SadApp::benchProblem(), Tier);
-  if (Name == "mri" || Name == "mri-fhd")
-    return std::make_unique<MriFhdApp>(MriProblem::bench(), Tier);
-  return nullptr;
+using FlagMap = std::map<std::string, std::string>;
+
+/// A subcommand and the flags its usage() line lists (plus --machine for
+/// show and inspect): value flags take an argument, switches do not.
+struct Subcommand {
+  std::string_view Name, ValueFlags, Switches;
+};
+
+constexpr Subcommand Subcommands[] = {
+    {"list", "", ""},
+    {"search",
+     "app strategy space machine budget seed inject jobs sim-engine journal "
+     "task-timeout shard out trace",
+     "fast-bw lint resume isolate progress"},
+    {"report", "trace top format", ""},
+    {"lint", "app config format", ""},
+    {"show", "app config machine", ""},
+    {"inspect", "file block grid machine", ""},
+    {"serve", "spool socket tcp-port queue-limit executors jobs deadline trace",
+     "isolate"},
+    {"fleet",
+     "app spool journal workers machine strategy space seed budget "
+     "shard-size shard-timeout heartbeat hedge-pct jobs trace",
+     "fast-bw lint no-local progress"},
+};
+
+/// Parses Argv[2..] against \p Cmd's flags; the first other argument is
+/// \p Positional (`tune report FILE`).  An unlisted flag, or a value flag
+/// with no value after it, is a usage error naming the flag.
+bool parseFlags(int Argc, char **Argv, const Subcommand &Cmd, FlagMap &Flags,
+                std::string &Positional) {
+  auto Listed = [](std::string_view List, const std::string &Word) {
+    return (" " + std::string(List) + " ").find(" " + Word + " ") !=
+           std::string::npos;
+  };
+  for (int I = 2; I < Argc; ++I) {
+    std::string_view Arg = Argv[I];
+    if (!Arg.starts_with("--")) {
+      if (Positional.empty())
+        Positional = Arg;
+      continue;
+    }
+    std::string Name(Arg.substr(2));
+    if (Listed(Cmd.Switches, Name)) {
+      Flags[Name] = "1";
+    } else if (!Listed(Cmd.ValueFlags, Name)) {
+      std::cerr << "error: tune " << Cmd.Name << " has no flag --" << Name
+                << "\n";
+      return false;
+    } else if (I + 1 == Argc ||
+               std::string_view(Argv[I + 1]).starts_with("--")) {
+      std::cerr << "error: --" << Name << " needs a value\n";
+      return false;
+    } else {
+      Flags[Name] = Argv[++I];
+    }
+  }
+  return true;
 }
 
-/// Parses --space (default small); prints a usage error on garbage.
-bool spaceFlag(const std::map<std::string, std::string> &Flags,
-               SpaceTier &Tier) {
-  auto It = Flags.find("space");
+/// Strict numeric flags (support/Numeric.h).  An absent flag leaves \p
+/// Out untouched and succeeds; garbage ("--jobs banana", "--seed 1x") is
+/// a usage error instead of silently becoming zero.
+template <typename T>
+bool numFlag(const FlagMap &Flags, const char *Name, T &Out) {
+  auto It = Flags.find(Name);
   if (It == Flags.end())
     return true;
-  if (parseSpaceTier(It->second, Tier))
+  Expected<T> V = [&] {
+    if constexpr (std::is_same_v<T, double>)
+      return parseDouble(It->second);
+    else
+      return parseUint64(It->second);
+  }();
+  if (!V) {
+    std::cerr << "error: --" << Name << ": " << V.diag().Message << "\n";
+    return false;
+  }
+  Out = V.takeValue();
+  return true;
+}
+
+/// The request `tune search` and `tune fleet` name with --app, --machine,
+/// --strategy, --space, --seed, --budget, --fast-bw and --lint, checked
+/// the way serve admission checks a wire request.  Prints the error.
+bool requestFlags(const FlagMap &Flags, TuneRequest &Req) {
+  for (auto [Name, Field] : {std::pair{"app", &Req.App},
+                             {"machine", &Req.Machine},
+                             {"strategy", &Req.Strategy},
+                             {"space", &Req.Space}})
+    if (auto It = Flags.find(Name); It != Flags.end())
+      *Field = It->second;
+  Req.FastBw = Flags.count("fast-bw") != 0;
+  Req.Lint = Flags.count("lint") != 0;
+  if (!numFlag(Flags, "seed", Req.Seed) ||
+      !numFlag(Flags, "budget", Req.Budget))
+    return false;
+  std::string Error = "unknown or missing --app";
+  if (Flags.count("app") && validateServeRequest(Req, Error))
     return true;
-  std::cerr << "error: --space must be 'small' or 'large'\n";
+  std::cerr << "error: " << Error << "\n";
   return false;
 }
 
-MachineModel makeMachine(const std::string &Name) {
-  if (Name == "nextgen")
-    return MachineModel::hypotheticalNextGen();
-  return MachineModel::geForce8800Gtx();
-}
-
-/// Strict flag accessors (support/Numeric.h).  Absent flags leave \p Out
-/// untouched and succeed; garbage ("--jobs banana", "--seed 1x") prints a
-/// usage error and fails instead of silently becoming zero the way the
-/// old atoi/atoll/atof parsing did.
-bool uintFlag(const std::map<std::string, std::string> &Flags,
-              const char *Name, uint64_t &Out) {
-  auto It = Flags.find(Name);
-  if (It == Flags.end())
-    return true;
-  Expected<uint64_t> V = parseUint64(It->second);
-  if (!V) {
-    std::cerr << "error: --" << Name << ": " << V.diag().Message << "\n";
+/// --machine for show and inspect (default gtx), checked as a served
+/// request's machine is: a typo is a usage error, not a silent GTX run.
+bool machineFlag(const FlagMap &Flags, MachineModel &Out) {
+  auto It = Flags.find("machine");
+  std::string Name = It == Flags.end() ? "gtx" : It->second;
+  if (!isServeMachine(Name)) {
+    std::cerr << "error: unknown machine '" << Name << "'\n";
     return false;
   }
-  Out = V.takeValue();
+  Out = makeServeMachine(Name);
   return true;
 }
 
-bool doubleFlag(const std::map<std::string, std::string> &Flags,
-                const char *Name, double &Out) {
-  auto It = Flags.find(Name);
+/// Opens the --trace file, if any.  One that cannot be opened is exit 2
+/// without the usage text: the command line itself was fine.
+bool traceFlag(const FlagMap &Flags, std::optional<Tracer> &Trace) {
+  auto It = Flags.find("trace");
   if (It == Flags.end())
     return true;
-  Expected<double> V = parseDouble(It->second);
-  if (!V) {
-    std::cerr << "error: --" << Name << ": " << V.diag().Message << "\n";
+  Expected<Tracer> T = Tracer::toFile(It->second);
+  if (!T) {
+    std::cerr << "error: --trace: " << T.diag().Message << "\n";
     return false;
   }
-  Out = V.takeValue();
+  Trace.emplace(T.takeValue());
   return true;
-}
-
-bool isValuelessSwitch(std::string_view Name) {
-  return Name == "resume" || Name == "isolate" || Name == "fast-bw" ||
-         Name == "progress" || Name == "lint" || Name == "no-local";
-}
-
-std::map<std::string, std::string> parseFlags(int Argc, char **Argv,
-                                              int Start) {
-  std::map<std::string, std::string> Flags;
-  for (int I = Start; I < Argc; ++I) {
-    if (std::strncmp(Argv[I], "--", 2) != 0)
-      continue;
-    std::string Name = Argv[I] + 2;
-    if (isValuelessSwitch(Name)) {
-      Flags[Name] = "1";
-      continue;
-    }
-    if (I + 1 < Argc)
-      Flags[Name] = Argv[++I];
-  }
-  return Flags;
-}
-
-/// First argument that is neither a --flag nor a flag's value — the
-/// subcommand's positional operand (e.g. `tune report sweep.journal`).
-std::string firstPositional(int Argc, char **Argv, int Start) {
-  for (int I = Start; I < Argc; ++I) {
-    if (std::strncmp(Argv[I], "--", 2) == 0) {
-      if (!isValuelessSwitch(Argv[I] + 2))
-        ++I; // Skip this flag's value too.
-      continue;
-    }
-    return Argv[I];
-  }
-  return "";
 }
 
 int cmdList() {
   TextTable T;
   T.setHeader({"app", "dimensions", "raw size"});
   for (const char *Name : {"matmul", "cp", "sad", "mri"}) {
-    std::unique_ptr<TunableApp> App = makeApp(Name);
+    std::unique_ptr<TunableApp> App = makeServeApp(Name);
     std::string Dims;
     for (const ConfigDim &D : App->space().dims()) {
       if (!Dims.empty())
@@ -350,31 +389,21 @@ void printSearchSummary(const TunableApp &App, const MachineModel &Machine,
   }
 }
 
-int cmdSearch(std::map<std::string, std::string> Flags) {
+int cmdSearch(FlagMap Flags) {
+  TuneRequest Req;
+  if (!requestFlags(Flags, Req))
+    return usage();
   SpaceTier Tier = SpaceTier::Small;
-  if (!spaceFlag(Flags, Tier))
-    return usage();
-  std::unique_ptr<TunableApp> App = makeApp(Flags["app"], Tier);
-  if (!App) {
-    std::cerr << "error: unknown or missing --app\n";
-    return usage();
-  }
-  MachineModel Machine = makeMachine(Flags["machine"]);
+  (void)parseSpaceTier(Req.Space, Tier); // Validated above.
+  std::unique_ptr<TunableApp> App = makeServeApp(Req.App, Tier);
 
   std::string InjectSpec = Flags.count("inject") ? Flags["inject"] : "";
-  FaultPlan Faults;
-  if (!InjectSpec.empty()) {
-    Expected<FaultPlan> Parsed = parseFaultPlan(InjectSpec);
-    if (!Parsed) {
-      std::cerr << "error: " << Parsed.diag().Message << "\n";
-      return usage();
-    }
-    Faults = Parsed.takeValue();
+  Expected<FaultPlan> Faults = parseFaultPlan(InjectSpec); // "" = none.
+  if (!Faults) {
+    std::cerr << "error: " << Faults.diag().Message << "\n";
+    return usage();
   }
-  bool FastBw = Flags.count("fast-bw") != 0;
-  bool Lint = Flags.count("lint") != 0;
   SimOptions SimO;
-  SimO.BandwidthFastPath = FastBw;
   // Engine selection changes how the schedule is computed, never the
   // results (the engines are bit-identical), so it deliberately stays out
   // of the journal fingerprint: a scan-engine journal resumes under the
@@ -390,29 +419,22 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
       return usage();
     }
   }
-  SearchEngine Engine(*App, Machine, {}, SimO, std::move(Faults),
-                      LintOptions{Lint});
-
-  std::string Strategy =
-      Flags.count("strategy") ? Flags["strategy"] : "pareto";
-  uint64_t Seed = 1;
-  uint64_t Budget = 16;
-  if (!uintFlag(Flags, "seed", Seed) || !uintFlag(Flags, "budget", Budget))
-    return usage();
+  std::unique_ptr<SearchEngine> Engine =
+      makeServeEngine(*App, Req, Faults.takeValue(), SimO);
 
   SweepOptions SOpts;
   if (Flags.count("journal"))
     SOpts.JournalPath = Flags["journal"];
   SOpts.Resume = Flags.count("resume") != 0;
   SOpts.Isolate = Flags.count("isolate") != 0;
-  if (!doubleFlag(Flags, "task-timeout", SOpts.TaskTimeoutSeconds))
+  if (!numFlag(Flags, "task-timeout", SOpts.TaskTimeoutSeconds))
     return usage();
   if (SOpts.TaskTimeoutSeconds <= 0) {
     std::cerr << "error: --task-timeout must be positive\n";
     return usage();
   }
   uint64_t Shard = SOpts.ShardSize;
-  if (!uintFlag(Flags, "shard", Shard))
+  if (!numFlag(Flags, "shard", Shard))
     return usage();
   if (Shard < 1) {
     std::cerr << "error: --shard must be a positive integer\n";
@@ -420,11 +442,11 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
   }
   SOpts.ShardSize = size_t(Shard);
 
-  // Worker threads for metric evaluation and in-process measurement.
-  // Isolation serializes shards through forked processes, so an
-  // unspecified --jobs defaults to 1 there instead of warning.
+  // Worker threads for planning, metric evaluation and in-process
+  // measurement.  Isolation serializes shards through forked processes,
+  // so an unspecified --jobs defaults to 1 there instead of warning.
   uint64_t Jobs = ThreadPool::defaultConcurrency();
-  if (!uintFlag(Flags, "jobs", Jobs))
+  if (!numFlag(Flags, "jobs", Jobs))
     return usage();
   if (Flags.count("jobs")) {
     if (Jobs < 1) {
@@ -440,14 +462,8 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
   // before planning: plan-phase spans (estimate/occupancy under the
   // metrics pass) land in the file too.
   std::optional<Tracer> Trace;
-  if (Flags.count("trace")) {
-    Expected<Tracer> T = Tracer::toFile(Flags["trace"]);
-    if (!T) {
-      std::cerr << "error: --trace: " << T.diag().Message << "\n";
-      return ExitUsage;
-    }
-    Trace.emplace(T.takeValue());
-  }
+  if (!traceFlag(Flags, Trace))
+    return ExitUsage;
   ScopedTracer TraceGuard(Trace ? &*Trace : nullptr);
 
   // Live status line on stderr.  Observation only — it runs on the
@@ -480,62 +496,12 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
         DrawProgress(/*Final=*/false);
     };
 
-  StrategyKind Kind;
-  if (!parseStrategy(Strategy, Kind)) {
-    std::cerr << "error: unknown --strategy\n";
-    return usage();
-  }
-  StrategyOptions StratO;
-  StratO.Seed = Seed;
-  StratO.Budget = Budget;
-  StratO.Jobs = unsigned(Jobs);
-
-  SOpts.Fingerprint.App = std::string(App->name());
-  SOpts.Fingerprint.Machine = Machine.Name;
-  SOpts.Fingerprint.Seed = Seed;
-  SOpts.Fingerprint.Budget = Budget;
-  SOpts.Fingerprint.RawSize = App->space().rawSize();
-  SOpts.Fingerprint.Space = spaceTierName(Tier);
-
-  SweepReport Rep;
-  if (!strategyIsPlannable(Kind)) {
-    // Adaptive strategies (greedy/anneal/genetic) regenerate their probe
-    // sequence deterministically, so they journal, resume and isolate
-    // through runAdaptiveSweep.
-    SOpts.Fingerprint.Strategy = strategyName(Kind);
-    // The fast path changes measured results, so it is part of the
-    // resume fingerprint.  Adaptive sweeps evaluate statics lazily, so
-    // the lint gate joins the fingerprint whenever it is armed rather
-    // than only when it fires (the plannable refinement below needs the
-    // full static table up front).
-    SOpts.Fingerprint.Extra = InjectSpec + (FastBw ? "|fastbw" : "") +
-                              (Lint ? "|lint" : "");
-    clearSweepInterrupt();
-    ScopedSweepSignalHandlers Guard;
-    Rep = runAdaptiveSweep(Engine, Kind, StratO, SOpts);
-  } else {
-    SweepPlan Plan = planForStrategy(Engine, Kind, StratO);
-    SOpts.Fingerprint.Strategy = Plan.Strategy;
-    // The fast path changes measured results, so it is part of the
-    // resume fingerprint: a --fast-bw journal cannot silently resume a
-    // full-simulation sweep or vice versa.  The lint gate joins it only
-    // when it actually quarantined something: a clean space journals
-    // byte-identically with or without --lint, but a journal carrying
-    // lint quarantines must not silently resume a non-lint sweep.
-    bool LintQuarantined = false;
-    for (const ConfigEval &E : Plan.Evals)
-      if (E.failed() && E.Failure.At == Stage::Lint) {
-        LintQuarantined = true;
-        break;
-      }
-    SOpts.Fingerprint.Extra = InjectSpec + (FastBw ? "|fastbw" : "") +
-                              (LintQuarantined ? "|lint" : "");
-
-    SweepDriver Driver(Engine, SOpts);
-    clearSweepInterrupt();
-    ScopedSweepSignalHandlers Guard;
-    Rep = Driver.run(std::move(Plan));
-  }
+  // The handlers cover planning: a signal while a large plan is built
+  // ends the run (exit 5) once the plan exists, leaving a header-only
+  // journal that --resume continues.
+  clearSweepInterrupt();
+  ScopedSweepSignalHandlers Guard;
+  SweepReport Rep = runRequest(*App, *Engine, Req, SOpts, InjectSpec);
   if (LastProgress)
     DrawProgress(/*Final=*/true);
   for (const std::string &W : Rep.Warnings)
@@ -552,7 +518,7 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
     std::cout << "  worker retries       : " << Rep.WorkerRetries << "\n";
   bool Interrupted = Rep.Status == SweepStatus::Interrupted;
 
-  printSearchSummary(*App, Machine, Out);
+  printSearchSummary(*App, Engine->evaluator().machine(), Out);
   if (Flags.count("out") && !writeEvalCsv(Flags["out"], Out))
     return ExitUsage;
 
@@ -583,7 +549,7 @@ int cmdSearch(std::map<std::string, std::string> Flags) {
 /// gracefully (exit 0); a second signal force-quits (exit 6).  Either
 /// way, restarting with the same --spool resumes every accepted-but-
 /// unfinished request.
-int cmdServe(std::map<std::string, std::string> Flags) {
+int cmdServe(FlagMap Flags) {
   if (!socketsSupported()) {
     std::cerr << "error: tune serve is not supported on this platform\n";
     return ExitUsage;
@@ -600,11 +566,11 @@ int cmdServe(std::map<std::string, std::string> Flags) {
   uint64_t QueueLimit = SO.QueueLimit;
   uint64_t Executors = SO.Executors;
   uint64_t Jobs = SO.Jobs;
-  if (!uintFlag(Flags, "tcp-port", Port) ||
-      !uintFlag(Flags, "queue-limit", QueueLimit) ||
-      !uintFlag(Flags, "executors", Executors) ||
-      !uintFlag(Flags, "jobs", Jobs) ||
-      !doubleFlag(Flags, "deadline", SO.DefaultDeadlineSeconds))
+  if (!numFlag(Flags, "tcp-port", Port) ||
+      !numFlag(Flags, "queue-limit", QueueLimit) ||
+      !numFlag(Flags, "executors", Executors) ||
+      !numFlag(Flags, "jobs", Jobs) ||
+      !numFlag(Flags, "deadline", SO.DefaultDeadlineSeconds))
     return usage();
   if (Port > 65535) {
     std::cerr << "error: --tcp-port must be below 65536\n";
@@ -626,14 +592,8 @@ int cmdServe(std::map<std::string, std::string> Flags) {
   }
 
   std::optional<Tracer> Trace;
-  if (Flags.count("trace")) {
-    Expected<Tracer> T = Tracer::toFile(Flags["trace"]);
-    if (!T) {
-      std::cerr << "error: --trace: " << T.diag().Message << "\n";
-      return usage();
-    }
-    Trace.emplace(T.takeValue());
-  }
+  if (!traceFlag(Flags, Trace))
+    return ExitUsage;
   ScopedTracer TraceGuard(Trace ? &*Trace : nullptr);
 
   TuneServer Server(std::move(SO));
@@ -673,26 +633,12 @@ int cmdServe(std::map<std::string, std::string> Flags) {
 /// the --workers tune-serve daemons, survives worker and coordinator
 /// crashes via its own spool, and writes a merged journal byte-identical
 /// to a single-daemon run.  Exit 0 on completion (even degraded-local),
-/// 5 when interrupted (spool resumes), 7 on setup/merge failure.
-int cmdFleet(std::map<std::string, std::string> Flags) {
+/// 2 on a bad command line or unservable request (before any spool is
+/// made), 5 when interrupted (spool resumes), 7 on setup/merge failure.
+int cmdFleet(FlagMap Flags) {
   FleetOptions FO;
-  if (!Flags.count("app")) {
-    std::cerr << "error: tune fleet needs --app\n";
+  if (!requestFlags(Flags, FO.Request))
     return usage();
-  }
-  FO.Request.App = Flags["app"];
-  if (Flags.count("machine"))
-    FO.Request.Machine = Flags["machine"];
-  if (Flags.count("strategy"))
-    FO.Request.Strategy = Flags["strategy"];
-  if (Flags.count("space")) {
-    SpaceTier Tier = SpaceTier::Small;
-    if (!spaceFlag(Flags, Tier))
-      return usage();
-    FO.Request.Space = spaceTierName(Tier);
-  }
-  FO.Request.FastBw = Flags.count("fast-bw") != 0;
-  FO.Request.Lint = Flags.count("lint") != 0;
   if (!Flags.count("spool")) {
     std::cerr << "error: tune fleet needs --spool DIR\n";
     return usage();
@@ -704,13 +650,11 @@ int cmdFleet(std::map<std::string, std::string> Flags) {
   }
   FO.JournalPath = Flags["journal"];
   uint64_t Jobs = FO.Jobs;
-  if (!uintFlag(Flags, "seed", FO.Request.Seed) ||
-      !uintFlag(Flags, "budget", FO.Request.Budget) ||
-      !uintFlag(Flags, "shard-size", FO.ShardSize) ||
-      !uintFlag(Flags, "jobs", Jobs) ||
-      !doubleFlag(Flags, "shard-timeout", FO.ShardTimeoutSeconds) ||
-      !doubleFlag(Flags, "heartbeat", FO.HeartbeatSeconds) ||
-      !doubleFlag(Flags, "hedge-pct", FO.HedgePercentile))
+  if (!numFlag(Flags, "shard-size", FO.ShardSize) ||
+      !numFlag(Flags, "jobs", Jobs) ||
+      !numFlag(Flags, "shard-timeout", FO.ShardTimeoutSeconds) ||
+      !numFlag(Flags, "heartbeat", FO.HeartbeatSeconds) ||
+      !numFlag(Flags, "hedge-pct", FO.HedgePercentile))
     return usage();
   if (FO.ShardSize < 1 || Jobs < 1) {
     std::cerr << "error: --shard-size/--jobs must be positive\n";
@@ -746,14 +690,8 @@ int cmdFleet(std::map<std::string, std::string> Flags) {
   }
 
   std::optional<Tracer> Trace;
-  if (Flags.count("trace")) {
-    Expected<Tracer> T = Tracer::toFile(Flags["trace"]);
-    if (!T) {
-      std::cerr << "error: --trace: " << T.diag().Message << "\n";
-      return usage();
-    }
-    Trace.emplace(T.takeValue());
-  }
+  if (!traceFlag(Flags, Trace))
+    return ExitUsage;
   ScopedTracer TraceGuard(Trace ? &*Trace : nullptr);
 
   bool Progress = Flags.count("progress") != 0;
@@ -803,8 +741,7 @@ int cmdFleet(std::map<std::string, std::string> Flags) {
 }
 
 /// `tune report <journal-or-csv>`: offline analysis of sweep artifacts.
-int cmdReport(const std::string &Path,
-              std::map<std::string, std::string> Flags) {
+int cmdReport(const std::string &Path, FlagMap Flags) {
   if (Path.empty()) {
     std::cerr << "error: tune report needs a journal or CSV file\n";
     return usage();
@@ -816,7 +753,7 @@ int cmdReport(const std::string &Path,
   }
   ReportOptions RO;
   uint64_t TopN = RO.TopN;
-  if (!uintFlag(Flags, "top", TopN))
+  if (!numFlag(Flags, "top", TopN))
     return usage();
   RO.TopN = size_t(TopN);
 
@@ -846,10 +783,9 @@ int cmdReport(const std::string &Path,
 /// `tune lint <app> [--config "v1,v2,..."] [--format text|json]`:
 /// run the static-analysis passes over one configuration's kernel or the
 /// whole expressible space, without simulating anything.
-int cmdLint(const std::string &Positional,
-            std::map<std::string, std::string> Flags) {
+int cmdLint(const std::string &Positional, FlagMap Flags) {
   std::string AppName = Flags.count("app") ? Flags["app"] : Positional;
-  std::unique_ptr<TunableApp> App = makeApp(AppName);
+  std::unique_ptr<TunableApp> App = makeServeApp(AppName);
   if (!App) {
     std::cerr << "error: unknown or missing app (tune lint <matmul|cp|sad|"
                  "mri> or --app <name>)\n";
@@ -928,12 +864,15 @@ int cmdLint(const std::string &Positional,
   return Errors > 0 ? ExitEvaluation : ExitOk;
 }
 
-int cmdShow(std::map<std::string, std::string> Flags) {
-  std::unique_ptr<TunableApp> App = makeApp(Flags["app"]);
+int cmdShow(FlagMap Flags) {
+  std::unique_ptr<TunableApp> App = makeServeApp(Flags["app"]);
   if (!App || !Flags.count("config")) {
     std::cerr << "error: need --app and --config\n";
     return usage();
   }
+  MachineModel Machine;
+  if (!machineFlag(Flags, Machine))
+    return usage();
   Expected<std::vector<int>> Parsed = parseIntList(Flags["config"]);
   if (!Parsed) {
     std::cerr << "error: --config: " << Parsed.diag().Message << "\n";
@@ -951,7 +890,6 @@ int cmdShow(std::map<std::string, std::string> Flags) {
     return ExitUsage;
   }
   Kernel K = App->buildKernel(P);
-  MachineModel Machine = makeMachine(Flags["machine"]);
   KernelMetrics M = computeKernelMetrics(K, App->launch(P), Machine);
   printKernel(K, std::cout);
   std::cout << "\n// Instr=" << M.Profile.DynInstrs
@@ -963,11 +901,14 @@ int cmdShow(std::map<std::string, std::string> Flags) {
   return 0;
 }
 
-int cmdInspect(std::map<std::string, std::string> Flags) {
+int cmdInspect(FlagMap Flags) {
   if (!Flags.count("file")) {
     std::cerr << "error: need --file\n";
     return usage();
   }
+  MachineModel Machine;
+  if (!machineFlag(Flags, Machine))
+    return usage();
   Expected<std::string> Text = readFile(Flags["file"]);
   if (!Text) {
     std::cerr << "error: " << Text.diag().Message << "\n";
@@ -1008,7 +949,6 @@ int cmdInspect(std::map<std::string, std::string> Flags) {
       Dim3(unsigned(Grid[0]), Grid.size() > 1 ? unsigned(Grid[1]) : 1),
       Dim3(unsigned(Block[0]), Block.size() > 1 ? unsigned(Block[1]) : 1));
 
-  MachineModel Machine = makeMachine(Flags["machine"]);
   KernelMetrics M = computeKernelMetrics(K, LC, Machine);
 
   std::cout << "kernel '" << K.name() << "' on " << Machine.Name << " with "
@@ -1049,8 +989,16 @@ int cmdInspect(std::map<std::string, std::string> Flags) {
 int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage();
-  std::string Cmd = Argv[1];
-  std::map<std::string, std::string> Flags = parseFlags(Argc, Argv, 2);
+  std::string_view Cmd = Argv[1];
+  const Subcommand *Sub =
+      std::find_if(std::begin(Subcommands), std::end(Subcommands),
+                   [Cmd](const Subcommand &S) { return S.Name == Cmd; });
+  if (Sub == std::end(Subcommands))
+    return usage();
+  FlagMap Flags;
+  std::string Positional;
+  if (!parseFlags(Argc, Argv, *Sub, Flags, Positional))
+    return usage();
   if (Cmd == "list")
     return cmdList();
   if (Cmd == "search")
@@ -1060,12 +1008,10 @@ int main(int Argc, char **Argv) {
   if (Cmd == "fleet")
     return cmdFleet(std::move(Flags));
   if (Cmd == "report")
-    return cmdReport(firstPositional(Argc, Argv, 2), std::move(Flags));
+    return cmdReport(Positional, std::move(Flags));
   if (Cmd == "lint")
-    return cmdLint(firstPositional(Argc, Argv, 2), std::move(Flags));
+    return cmdLint(Positional, std::move(Flags));
   if (Cmd == "show")
     return cmdShow(std::move(Flags));
-  if (Cmd == "inspect")
-    return cmdInspect(std::move(Flags));
-  return usage();
+  return cmdInspect(std::move(Flags));
 }
