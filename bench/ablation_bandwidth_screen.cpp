@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SweepDriver.h"
 #include "kernels/Cp.h"
 #include "kernels/MatMul.h"
 #include "kernels/MriFhd.h"
@@ -28,11 +28,13 @@ using namespace g80;
 
 static void addApp(TextTable &T, const TunableApp &App) {
   SearchEngine Engine(App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
+  SearchOutcome Full =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
   for (bool Screen : {false, true}) {
     ParetoOptions Opts;
     Opts.ScreenBandwidthBound = Screen;
-    SearchOutcome Pruned = Engine.paretoPruned(Opts);
+    SearchOutcome Pruned =
+        SweepDriver(Engine, {}).run(Engine.planPareto(Opts)).Outcome;
     size_t Bound = 0;
     for (size_t I : Pruned.Candidates)
       Bound += Pruned.Evals[I].Metrics.bandwidthBound();

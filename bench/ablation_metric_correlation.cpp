@@ -17,7 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SweepDriver.h"
 #include "kernels/Cp.h"
 #include "kernels/MatMul.h"
 #include "kernels/MriFhd.h"
@@ -32,7 +32,8 @@ using namespace g80;
 
 static void addApp(TextTable &T, const TunableApp &App) {
   SearchEngine Engine(App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
+  SearchOutcome Full =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
 
   std::vector<double> Time, InvEff, InvUtil, InvProduct;
   for (size_t I : Full.Candidates) {

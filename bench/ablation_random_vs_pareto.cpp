@@ -6,13 +6,14 @@
 //
 // The paper's §7 proposes comparing the Pareto pruning "to random
 // sampling of the optimization space".  This ablation gives random
-// search the same measurement budget the Pareto subset used and asks,
-// over many seeds: how often does it find the optimum, and how far off
-// is its best configuration on average?
+// search, and the `greedy` strategy `tune search` runs, the same
+// measurement budget the Pareto subset used and asks, over many seeds:
+// how often does each find the optimum, and how far off is its best
+// configuration on average?
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SearchStrategy.h"
 #include "kernels/Cp.h"
 #include "kernels/MatMul.h"
 #include "kernels/MriFhd.h"
@@ -28,20 +29,25 @@ using namespace g80;
 
 static void addApp(TextTable &T, const TunableApp &App) {
   SearchEngine Engine(App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
-  SearchOutcome Pruned = Engine.paretoPruned();
+  SearchOutcome Full =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
+  SearchOutcome Pruned =
+      SweepDriver(Engine, {}).run(Engine.planPareto()).Outcome;
   size_t Budget = Pruned.Candidates.size();
 
   constexpr unsigned Seeds = 20;
   unsigned RandomFound = 0, GreedyFound = 0;
   SampleStats RandomGap, GreedyGap;
   for (unsigned Seed = 1; Seed <= Seeds; ++Seed) {
-    SearchOutcome R = Engine.randomSample(Budget, Seed);
+    SearchOutcome R =
+        SweepDriver(Engine, {}).run(Engine.planRandom(Budget, Seed)).Outcome;
     if (R.BestTime <= Full.BestTime * 1.0000001)
       ++RandomFound;
     RandomGap.add(R.BestTime / Full.BestTime - 1.0);
 
-    SearchOutcome G = Engine.greedyClimb(Budget, Seed);
+    StrategyOptions Greedy{Seed, Budget};
+    SearchOutcome G =
+        runAdaptiveSweep(Engine, StrategyKind::Greedy, Greedy, {}).Outcome;
     if (G.BestTime <= Full.BestTime * 1.0000001)
       ++GreedyFound;
     GreedyGap.add(G.BestTime / Full.BestTime - 1.0);
@@ -82,8 +88,9 @@ int main() {
   }
   T.print(std::cout);
   std::cout << "\nGap = how much slower the strategy's winner is than "
-               "the true optimum; greedy climbs along one-step "
-               "neighbors from a random start until a local optimum or "
-               "the budget runs out.\n";
+               "the true optimum; greedy probes every one-step neighbor "
+               "before it moves to the best one, and restarts from a "
+               "random draw at a local optimum, until the budget runs "
+               "out.\n";
   return 0;
 }

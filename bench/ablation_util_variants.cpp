@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SweepDriver.h"
 #include "kernels/Cp.h"
 #include "kernels/MatMul.h"
 #include "kernels/MriFhd.h"
@@ -45,8 +45,10 @@ static void addApp(TextTable &T, const TunableApp &App) {
     MetricOptions MOpts;
     MOpts.Variant = V;
     SearchEngine Engine(App, MachineModel::geForce8800Gtx(), MOpts);
-    SearchOutcome Full = Engine.exhaustive();
-    SearchOutcome Pruned = Engine.paretoPruned();
+    SearchOutcome Full =
+        SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
+    SearchOutcome Pruned =
+        SweepDriver(Engine, {}).run(Engine.planPareto()).Outcome;
     bool Found = Pruned.BestTime <= Full.BestTime * 1.0000001;
     double Gap = Pruned.BestTime / Full.BestTime - 1.0;
     T.addRow({std::string(App.name()), variantName(V),

@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SweepDriver.h"
 #include "kernels/Cp.h"
 #include "kernels/MatMul.h"
 #include "kernels/MriFhd.h"
@@ -33,7 +33,8 @@ static void runApp(const TunableApp &App, const char *FigureId) {
   MachineModel Machine = MachineModel::geForce8800Gtx();
   SearchEngine Engine(App, Machine);
 
-  SearchOutcome Full = Engine.exhaustive();
+  SearchOutcome Full =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
   std::vector<size_t> Front = paretoSubset(Full.Evals);
 
   // Normalize both metrics to [0, 1] as the paper does.

@@ -15,7 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SweepDriver.h"
 #include "cpu/Reference.h"
 #include "kernels/Cp.h"
 #include "kernels/MatMul.h"
@@ -42,7 +42,7 @@ double wallSeconds(const std::function<void()> &Fn) {
 
 double bestGpuSeconds(const TunableApp &App) {
   SearchEngine Engine(App, MachineModel::geForce8800Gtx());
-  return Engine.paretoPruned().BestTime;
+  return SweepDriver(Engine, {}).run(Engine.planPareto()).Outcome.BestTime;
 }
 
 } // namespace

@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SweepDriver.h"
 #include "kernels/Cp.h"
 #include "kernels/MatMul.h"
 #include "kernels/MriFhd.h"
@@ -39,8 +39,10 @@ struct PaperRow {
 
 void addApp(TextTable &T, const TunableApp &App, const PaperRow &Paper) {
   SearchEngine Engine(App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
-  SearchOutcome Pruned = Engine.paretoPruned();
+  SearchOutcome Full =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
+  SearchOutcome Pruned =
+      SweepDriver(Engine, {}).run(Engine.planPareto()).Outcome;
 
   bool Found = Pruned.BestTime <= Full.BestTime * 1.0000001;
   T.addRow({std::string(App.name()), fmtInt(uint64_t(Full.ValidCount)),

@@ -17,7 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SweepDriver.h"
 #include "emu/Emulator.h"
 #include "kernels/Workloads.h"
 #include "ptx/Builder.h"
@@ -136,8 +136,10 @@ int main() {
   }
 
   SearchEngine Engine(App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
-  SearchOutcome Pruned = Engine.paretoPruned();
+  SearchOutcome Full =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
+  SearchOutcome Pruned =
+      SweepDriver(Engine, {}).run(Engine.planPareto()).Outcome;
 
   std::cout << "\nstencil space: " << Pruned.ValidCount
             << " valid configurations, " << Pruned.Candidates.size()

@@ -15,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Cluster.h"
-#include "core/Search.h"
+#include "core/SweepDriver.h"
 #include "kernels/MriFhd.h"
 #include "support/Format.h"
 #include "support/TextTable.h"
@@ -30,7 +30,8 @@ int main() {
   SearchEngine Engine(App, MachineModel::geForce8800Gtx());
 
   // Measure the whole Pareto subset, then look inside its clusters.
-  SearchOutcome Pruned = Engine.paretoPruned();
+  SearchOutcome Pruned =
+      SweepDriver(Engine, {}).run(Engine.planPareto()).Outcome;
   std::vector<std::vector<size_t>> Clusters =
       clusterByMetrics(Pruned.Evals, Pruned.Candidates);
 
@@ -57,7 +58,8 @@ int main() {
   T.print(std::cout);
 
   // One representative per cluster (§5.2's proposal).
-  SearchOutcome Clustered = Engine.paretoClustered();
+  SearchOutcome Clustered =
+      SweepDriver(Engine, {}).run(Engine.planClustered()).Outcome;
   std::cout << "\nfull Pareto search:   " << Pruned.Candidates.size()
             << " measurements, best "
             << fmtDouble(Pruned.BestTime * 1e3, 3) << " ms\n"

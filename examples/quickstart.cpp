@@ -8,14 +8,15 @@
 // simulated GeForce 8800 GTX.
 //
 //  1. Construct the application (its optimization space comes with it).
-//  2. Run the Pareto-pruned search: static metrics for every
-//     configuration, measurements only for the Pareto-optimal subset.
+//  2. Run the Pareto-pruned search: SearchEngine plans it from static
+//     metrics for every configuration, and SweepDriver (the loop
+//     `tune search` runs) measures only the Pareto-optimal subset.
 //  3. Compare against the exhaustive search to see what the pruning
 //     saved and that it still found the optimum.
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SweepDriver.h"
 #include "kernels/MatMul.h"
 #include "ptx/Printer.h"
 #include "support/Format.h"
@@ -33,7 +34,8 @@ int main() {
             << App.space().rawSize() << " raw configurations)\n\n";
 
   // The contribution: measure only the Pareto-optimal subset.
-  SearchOutcome Pareto = Engine.paretoPruned();
+  SearchOutcome Pareto =
+      SweepDriver(Engine, {}).run(Engine.planPareto()).Outcome;
   std::cout << "Pareto-pruned search:\n"
             << "  valid configurations : " << Pareto.ValidCount << "\n"
             << "  measured             : " << Pareto.Candidates.size()
@@ -47,7 +49,8 @@ int main() {
             << "\n\n";
 
   // Sanity: the expensive way.
-  SearchOutcome Full = Engine.exhaustive();
+  SearchOutcome Full =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
   std::cout << "Exhaustive search:\n"
             << "  measured             : " << Full.Candidates.size() << "\n"
             << "  best time            : " << fmtDouble(Full.BestTime * 1e3)

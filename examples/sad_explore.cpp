@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SweepDriver.h"
 #include "kernels/Sad.h"
 #include "support/Format.h"
 #include "support/TextTable.h"
@@ -29,7 +29,8 @@ int main() {
   MachineModel Machine = MachineModel::geForce8800Gtx();
   SearchEngine Engine(App, Machine);
 
-  SearchOutcome Pruned = Engine.paretoPruned();
+  SearchOutcome Pruned =
+      SweepDriver(Engine, {}).run(Engine.planPareto()).Outcome;
   std::cout << "SAD: " << Pruned.ValidCount << " valid configurations; "
             << "metrics computed for all, only "
             << Pruned.Candidates.size() << " measured ("

@@ -13,7 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SweepDriver.h"
 #include "kernels/MatMul.h"
 #include "support/Format.h"
 #include "support/TextTable.h"
@@ -25,8 +25,10 @@ using namespace g80;
 static void tuneOn(const TunableApp &App, const MachineModel &Machine,
                    TextTable &T) {
   SearchEngine Engine(App, Machine);
-  SearchOutcome Full = Engine.exhaustive();
-  SearchOutcome Pruned = Engine.paretoPruned();
+  SearchOutcome Full =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
+  SearchOutcome Pruned =
+      SweepDriver(Engine, {}).run(Engine.planPareto()).Outcome;
   const ConfigEval &Best = Full.Evals[Full.BestIndex];
   bool Found = Pruned.BestTime <= Full.BestTime * 1.0000001;
   T.addRow({Machine.Name, App.space().describe(Best.Point),

@@ -45,21 +45,6 @@ void SearchOutcome::noteMeasured(size_t Idx) {
   }
 }
 
-SearchOutcome SearchEngine::measureCandidates(SweepPlan Plan) const {
-  SearchOutcome Out = SearchOutcome::fromPlan(std::move(Plan));
-  for (size_t Idx : Out.Candidates) {
-    ConfigEval &E = Out.Evals[Idx];
-    if (!Eval.measure(E)) {
-      // Quarantine and keep sweeping: one bad configuration must not take
-      // the whole search down.
-      Out.noteQuarantined(Idx);
-      continue;
-    }
-    Out.noteMeasured(Idx);
-  }
-  return Out;
-}
-
 SweepPlan SweepPlan::slice(size_t Begin, size_t End) const {
   SweepPlan Out;
   Out.Strategy = Strategy;
@@ -159,124 +144,4 @@ SweepPlan SearchEngine::planRandom(size_t K, uint64_t Seed,
   Plan.Candidates.assign(Usable.begin(), Usable.begin() + Draw);
   std::sort(Plan.Candidates.begin(), Plan.Candidates.end());
   return Plan;
-}
-
-SearchOutcome SearchEngine::exhaustive() const {
-  return measureCandidates(planExhaustive());
-}
-
-SearchOutcome SearchEngine::paretoPruned(const ParetoOptions &Opts) const {
-  return measureCandidates(planPareto(Opts));
-}
-
-SearchOutcome SearchEngine::paretoClustered(const ParetoOptions &Opts,
-                                            double RelTol) const {
-  return measureCandidates(planClustered(Opts, RelTol));
-}
-
-SearchOutcome SearchEngine::greedyClimb(size_t MaxMeasured,
-                                        uint64_t Seed) const {
-  const ConfigSpace &Space = Eval.app().space();
-
-  SweepPlan Plan;
-  Plan.Strategy = "greedy";
-  Plan.Evals = Eval.evaluateMetrics();
-  std::vector<size_t> Usable;
-  Usable.reserve(Plan.Evals.size());
-  for (size_t I = 0; I != Plan.Evals.size(); ++I)
-    if (Plan.Evals[I].usable())
-      Usable.push_back(I);
-
-  SearchOutcome Out = SearchOutcome::fromPlan(std::move(Plan));
-  if (Usable.empty())
-    return Out;
-
-  // A probe outcome distinguishes "this neighbor faulted" (skip it, keep
-  // climbing) from "measurement budget exhausted" (stop the climb).
-  enum class Probe { Ok, Failed, Budget };
-  auto MeasureIdx = [&](size_t Idx) {
-    ConfigEval &E = Out.Evals[Idx];
-    if (E.Measured)
-      return Probe::Ok;
-    if (E.failed())
-      return Probe::Failed;
-    if (Out.Candidates.size() >= MaxMeasured)
-      return Probe::Budget;
-    if (!Eval.measure(E)) {
-      Out.noteQuarantined(Idx);
-      return Probe::Failed;
-    }
-    Out.Candidates.push_back(Idx);
-    Out.noteMeasured(Idx);
-    return Probe::Ok;
-  };
-
-  // Usable flat-index lookup for neighbor resolution.
-  auto FindUsable = [&](const ConfigPoint &P) -> size_t {
-    for (size_t I : Usable)
-      if (Out.Evals[I].Point == P)
-        return I;
-    return size_t(-1);
-  };
-
-  // Pick a start that actually measures; a faulting start is quarantined
-  // and redrawn (bounded attempts — with heavy injection every draw may
-  // fail, in which case the outcome reports the quarantine and no best).
-  Rng R(Seed);
-  size_t Current = size_t(-1);
-  for (size_t Attempt = 0; Attempt != Usable.size(); ++Attempt) {
-    size_t Pick = Usable[R.nextBelow(Usable.size())];
-    Probe P = MeasureIdx(Pick);
-    if (P == Probe::Ok) {
-      Current = Pick;
-      break;
-    }
-    if (P == Probe::Budget)
-      break;
-  }
-  if (Current == size_t(-1))
-    return finishGreedy(Out);
-
-  bool Improved = true;
-  while (Improved && Out.Candidates.size() < MaxMeasured) {
-    Improved = false;
-    // Enumerate one-step neighbors along every dimension.
-    for (size_t D = 0; D != Space.numDims(); ++D) {
-      const std::vector<int> &Vals = Space.dim(D).Values;
-      const ConfigPoint &Here = Out.Evals[Current].Point;
-      size_t ValIdx = std::find(Vals.begin(), Vals.end(), Here[D]) -
-                      Vals.begin();
-      for (int Step : {-1, 1}) {
-        if ((Step < 0 && ValIdx == 0) ||
-            (Step > 0 && ValIdx + 1 >= Vals.size()))
-          continue;
-        ConfigPoint Neighbor = Here;
-        Neighbor[D] = Vals[ValIdx + Step];
-        size_t Idx = FindUsable(Neighbor);
-        if (Idx == size_t(-1))
-          continue;
-        Probe P = MeasureIdx(Idx);
-        if (P == Probe::Budget)
-          return finishGreedy(Out);
-        if (P == Probe::Failed)
-          continue;
-        if (Out.Evals[Idx].TimeSeconds <
-            Out.Evals[Current].TimeSeconds) {
-          Current = Idx;
-          Improved = true;
-        }
-      }
-    }
-  }
-  return finishGreedy(Out);
-}
-
-SearchOutcome SearchEngine::finishGreedy(SearchOutcome Out) {
-  std::sort(Out.Candidates.begin(), Out.Candidates.end());
-  std::sort(Out.Quarantined.begin(), Out.Quarantined.end());
-  return Out;
-}
-
-SearchOutcome SearchEngine::randomSample(size_t K, uint64_t Seed) const {
-  return measureCandidates(planRandom(K, Seed));
 }

@@ -5,15 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The search strategies the paper studies or proposes:
-///  - exhaustive: measure every valid configuration (the paper's initial
+/// The static phase of the search strategies the paper studies or
+/// proposes.  Each plan* method evaluates the space's metrics and picks
+/// the candidates to measure:
+///  - planExhaustive: every valid configuration (the paper's initial
 ///    full-space explorations, Fig. 3-4);
-///  - paretoPruned: measure only the Pareto-optimal subset of the metric
-///    plot (§5.2, Table 4 — the contribution);
-///  - paretoClustered: additionally measure just one representative of
-///    each metric-identical cluster (§5.2's MRI-FHD observation);
-///  - randomSample: measure K uniformly random valid configurations (the
-///    baseline §7 proposes comparing against).
+///  - planPareto: only the Pareto-optimal subset of the metric plot
+///    (§5.2, Table 4 — the contribution);
+///  - planClustered: additionally just one representative of each
+///    metric-identical cluster (§5.2's MRI-FHD observation);
+///  - planRandom: K uniformly random valid configurations (the baseline
+///    §7 proposes comparing against).
+/// Measurement is SweepDriver's job (core/SweepDriver.h): every caller
+/// runs a plan through that one loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,9 +37,7 @@ namespace g80 {
 
 /// A measurement plan: the full space with static metrics plus the subset
 /// of indices a strategy chose to measure.  Produced by the SearchEngine
-/// plan*() methods; consumed either by SearchEngine's own in-memory
-/// measurement loop or by the durable SweepDriver (core/SweepDriver.h),
-/// which streams the same measurements through a crash-safe journal.
+/// plan*() methods and measured by SweepDriver (core/SweepDriver.h).
 struct SweepPlan {
   std::string Strategy;
   std::vector<ConfigEval> Evals;
@@ -110,7 +112,7 @@ struct SearchOutcome {
   }
 };
 
-/// Runs search strategies for one app on one machine.  The app must
+/// Plans search strategies for one app on one machine.  The app must
 /// outlive the engine; the machine description is copied.
 class SearchEngine {
 public:
@@ -119,20 +121,6 @@ public:
                FaultPlan Faults = {}, LintOptions LOpts = {})
       : Eval(App, std::move(Machine), MOpts, SOpts, std::move(Faults),
              LOpts) {}
-
-  /// Measures every valid configuration.
-  SearchOutcome exhaustive() const;
-
-  /// Measures only the Pareto-optimal subset (after the §5.3 bandwidth
-  /// screen, unless disabled in \p Opts).
-  SearchOutcome paretoPruned(const ParetoOptions &Opts = {}) const;
-
-  /// Pareto subset, then one representative per metric cluster (§5.2).
-  SearchOutcome paretoClustered(const ParetoOptions &Opts = {},
-                                double RelTol = 1e-3) const;
-
-  /// Measures \p K distinct uniformly random valid configurations.
-  SearchOutcome randomSample(size_t K, uint64_t Seed) const;
 
   /// Spaces at or below this raw size get the historical dense plan
   /// (Evals holds every raw point, position == flat index); larger spaces
@@ -144,11 +132,10 @@ public:
   static constexpr uint64_t DenseEvalLimit = 1u << 16;
 
   /// Candidate planning without measurement — the cheap static phase of
-  /// each strategy above, exposed so the durable SweepDriver can journal
-  /// and shard the expensive measurement phase itself.  Greedy climbing
-  /// has no up-front plan (each measurement decides the next) and is not
-  /// plannable.  \p Jobs parallelizes the static metric evaluation; the
-  /// plan is identical for any job count.
+  /// each strategy; SweepDriver journals and shards the expensive
+  /// measurement phase.  Pareto plans apply the §5.3 bandwidth screen
+  /// when \p Opts asks for it.  \p Jobs parallelizes the static metric
+  /// evaluation; the plan is identical for any job count.
   SweepPlan planExhaustive(unsigned Jobs = 1) const;
   SweepPlan planPareto(const ParetoOptions &Opts = {},
                        unsigned Jobs = 1) const;
@@ -156,19 +143,9 @@ public:
                           double RelTol = 1e-3, unsigned Jobs = 1) const;
   SweepPlan planRandom(size_t K, uint64_t Seed, unsigned Jobs = 1) const;
 
-  /// Greedy hill climbing from a random start: repeatedly measures all
-  /// one-dimension-step neighbors and moves to the best strict
-  /// improvement, stopping at a local optimum or after \p MaxMeasured
-  /// measurements.  The classic iterative-search baseline of the
-  /// related-work autotuners ([3, 4, 17, 26] in the paper).
-  SearchOutcome greedyClimb(size_t MaxMeasured, uint64_t Seed) const;
-
   const Evaluator &evaluator() const { return Eval; }
 
 private:
-  SearchOutcome measureCandidates(SweepPlan Plan) const;
-  static SearchOutcome finishGreedy(SearchOutcome Out);
-
   /// Static metrics for planning: dense below DenseEvalLimit, the
   /// expressible subset above it.
   std::vector<ConfigEval> planStatics(unsigned Jobs) const;

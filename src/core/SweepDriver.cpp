@@ -106,8 +106,7 @@ struct DriveState {
   uint64_t Records = 0;
   /// Per-flat-index worker failure count (for the retry-once policy).
   std::unordered_map<uint64_t, unsigned> Attempts;
-  /// Records committed by this run (excludes resume replay) — drives the
-  /// InterruptAfterRecords test hook.
+  /// Records committed by this run (excludes resume replay).
   size_t FreshRecords = 0;
   /// Configurations per forked worker, validated once per sweep.
   size_t ShardSize = 1;
@@ -178,9 +177,6 @@ struct DriveState {
       P.Quarantined = out().Quarantined.size();
       Opts.OnProgress(P);
     }
-    if (Opts.InterruptAfterRecords != 0 &&
-        FreshRecords == Opts.InterruptAfterRecords)
-      requestSweepInterrupt();
   }
 
   /// Measures \p E in this process without committing it.  Armed

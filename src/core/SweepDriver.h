@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The durable sweep-execution layer: the one measurement loop of every
-/// strategy.  A SearchCursor proposes rounds of configurations (a
-/// SweepPlan is a one-round cursor); the driver measures each round with
-/// three protections the in-memory SearchEngine loop lacks:
+/// strategy and every caller.  A SearchCursor proposes rounds of
+/// configurations (a SweepPlan is a one-round cursor); the driver
+/// measures each round, optionally with three protections:
 ///
 ///  - **Write-ahead journal** (support/Journal.h): every completed
 ///    evaluation — measured or quarantined — is appended as a checksummed,
@@ -112,10 +112,6 @@ struct SweepOptions {
   /// Measurement ignores it (with a warning when > 1) under Isolate —
   /// those workers are processes.
   unsigned Jobs = 1;
-  /// Test hook: request a graceful interrupt (as SIGTERM would) after
-  /// this many freshly committed records, 0 = never.  Lets tests land a
-  /// deterministic mid-sweep kill point under any job count.
-  size_t InterruptAfterRecords = 0;
   /// Observer called from the committer thread after each completed
   /// record (`tune search --progress`).  Runs strictly in commit order and
   /// must not mutate sweep state; it cannot affect results, journal
@@ -164,10 +160,10 @@ public:
       : Engine(Engine), Opts(std::move(Opts)) {}
 
   /// Executes the measurement phase of \p Plan: a one-round cursor over
-  /// its candidates with a budget of the candidate count.  The outcome's
-  /// Candidates are the plan's.  Quarantined indices in the outcome are
-  /// sorted (unlike SearchEngine's candidate-order lists) so interrupted
-  /// + resumed runs compare equal to uninterrupted ones.
+  /// its candidates with a budget of the candidate count, committed in
+  /// plan order.  The outcome's Candidates are the plan's.  Quarantined
+  /// indices in the outcome are sorted so interrupted + resumed runs
+  /// compare equal to uninterrupted ones.
   SweepReport run(SweepPlan Plan) const;
 
   /// Executes the search \p Cursor proposes until it converges, \p Budget

@@ -338,7 +338,6 @@ struct FleetCoordinator::Impl {
     auto Disconnect = [&](const std::string &Why, uint64_t Salt) {
       Conn.reset();
       Pool.setHealthy(W, false);
-      Pool.noteFailure(W);
       ++FailStreak;
       traceCount("fleet.worker_failure");
       warn("worker " + Pool.endpoint(W).Label + ": " + Why);
@@ -351,7 +350,6 @@ struct FleetCoordinator::Impl {
         Expected<ServeClient> C = Pool.connectWorker(W);
         if (!C) {
           Pool.setHealthy(W, false);
-          Pool.noteFailure(W);
           ++FailStreak;
           sleepInterruptible(ReconnectBackoff.delaySeconds(
               std::min(FailStreak, 12u), uint64_t(W)));
@@ -376,7 +374,6 @@ struct FleetCoordinator::Impl {
         if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           LastProbe)
                 .count() >= Opts.HeartbeatSeconds) {
-          Pool.noteDispatched(W); // probe counts as a dispatch slot
           Expected<ServeStatus> St = Conn->status(ProbeTimeout);
           LastProbe = std::chrono::steady_clock::now();
           if (!St || St->Draining) {
@@ -387,7 +384,6 @@ struct FleetCoordinator::Impl {
         continue;
       }
 
-      Pool.noteDispatched(W);
       auto T0 = std::chrono::steady_clock::now();
       Expected<ShardResult> R = Conn->runShard(
           Shards[size_t(*I)].Req, Opts.ShardTimeoutSeconds, [this, W] {
@@ -420,15 +416,17 @@ struct FleetCoordinator::Impl {
         return; // Fatal spool failure; run() reports it.
       }
       releaseShard(*I, /*Requeue=*/false);
-      Pool.noteCompleted(W);
     }
   }
 
   /// Degraded-mode executor: runs shards in-process, but only while no
-  /// remote worker is healthy (or none were configured).
+  /// remote worker is healthy (or none were configured).  Before every
+  /// runner has finished its first connection attempt, no worker is
+  /// healthy yet either; running then would degrade a healthy fleet.
   void localLoop() {
     while (!shouldExit()) {
-      if (Pool.size() > 0 && Pool.healthyCount() > 0) {
+      if (Pool.size() > 0 &&
+          (!Pool.allSettled() || Pool.healthyCount() > 0)) {
         sleepInterruptible(0.1);
         continue;
       }

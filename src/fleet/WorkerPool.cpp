@@ -105,6 +105,7 @@ bool WorkerPool::healthy(size_t I) const {
 
 void WorkerPool::setHealthy(size_t I, bool H) {
   Workers[I]->Healthy.store(H, std::memory_order_release);
+  Workers[I]->Settled.store(true, std::memory_order_release);
 }
 
 size_t WorkerPool::healthyCount() const {
@@ -114,13 +115,19 @@ size_t WorkerPool::healthyCount() const {
   return N;
 }
 
+bool WorkerPool::allSettled() const {
+  for (const auto &W : Workers)
+    if (!W->Settled.load(std::memory_order_acquire))
+      return false;
+  return true;
+}
+
 Expected<ServeClient> WorkerPool::connectWorker(size_t I) const {
   const WorkerEndpoint &Ep = Workers[I]->Ep;
   return ServeClient::connect(Ep.SocketPath, Ep.TcpPort);
 }
 
 bool WorkerPool::probe(size_t I, double TimeoutSeconds) {
-  Workers[I]->Probes.fetch_add(1, std::memory_order_relaxed);
   Expected<ServeClient> Conn = connectWorker(I);
   if (!Conn) {
     setHealthy(I, false);
@@ -130,26 +137,4 @@ bool WorkerPool::probe(size_t I, double TimeoutSeconds) {
   bool Ok = bool(S) && !S->Draining;
   setHealthy(I, Ok);
   return Ok;
-}
-
-WorkerPool::Stats WorkerPool::stats(size_t I) const {
-  const State &W = *Workers[I];
-  Stats S;
-  S.Dispatched = W.Dispatched.load(std::memory_order_relaxed);
-  S.Completed = W.Completed.load(std::memory_order_relaxed);
-  S.Failures = W.Failures.load(std::memory_order_relaxed);
-  S.Probes = W.Probes.load(std::memory_order_relaxed);
-  return S;
-}
-
-void WorkerPool::noteDispatched(size_t I) {
-  Workers[I]->Dispatched.fetch_add(1, std::memory_order_relaxed);
-}
-
-void WorkerPool::noteCompleted(size_t I) {
-  Workers[I]->Completed.fetch_add(1, std::memory_order_relaxed);
-}
-
-void WorkerPool::noteFailure(size_t I) {
-  Workers[I]->Failures.fetch_add(1, std::memory_order_relaxed);
 }

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The coordinator's view of its tune-serve workers: parsed endpoints,
-/// per-worker health flags and counters, connection setup, and the
-/// heartbeat probe.  Health here is advisory scheduling state, not
-/// truth — a worker marked unhealthy is simply skipped by the local
-/// degradation check until its runner thread reconnects (with capped
-/// exponential backoff) and a status probe succeeds again.
+/// per-worker health flags, connection setup, and the heartbeat probe.
+/// Health here is advisory scheduling state, not truth — a worker marked
+/// unhealthy is simply skipped by the local degradation check until its
+/// runner thread reconnects (with capped exponential backoff) and a
+/// status probe succeeds again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,9 +43,9 @@ Expected<WorkerEndpoint> parseWorkerEndpoint(const std::string &Spec);
 Expected<std::vector<WorkerEndpoint>>
 parseWorkerList(const std::string &CommaList);
 
-/// Health and accounting for a fixed set of workers.  All accessors are
-/// thread-safe; the coordinator's per-worker runner threads and monitor
-/// read and write concurrently.
+/// Health for a fixed set of workers.  All accessors are thread-safe; the
+/// coordinator's per-worker runner threads and monitor read and write
+/// concurrently.
 class WorkerPool {
 public:
   explicit WorkerPool(std::vector<WorkerEndpoint> Endpoints);
@@ -56,34 +56,24 @@ public:
   bool healthy(size_t I) const;
   void setHealthy(size_t I, bool H);
   size_t healthyCount() const;
+  /// Whether every worker's health has been set at least once, i.e. its
+  /// first connection attempt or probe has finished, either way.  Until
+  /// then "unhealthy" only means "not connected yet".
+  bool allSettled() const;
 
   /// Opens a fresh connection to worker \p I.
   Expected<ServeClient> connectWorker(size_t I) const;
 
   /// One status round-trip on a *fresh* connection — detects a dead or
   /// wedged daemon even while the shard connection looks idle-healthy.
-  /// Updates the health flag and probe counters.
+  /// Updates the health flag.
   bool probe(size_t I, double TimeoutSeconds);
-
-  struct Stats {
-    uint64_t Dispatched = 0;
-    uint64_t Completed = 0;
-    uint64_t Failures = 0;
-    uint64_t Probes = 0;
-  };
-  Stats stats(size_t I) const;
-  void noteDispatched(size_t I);
-  void noteCompleted(size_t I);
-  void noteFailure(size_t I);
 
 private:
   struct State {
     WorkerEndpoint Ep;
     std::atomic<bool> Healthy{false};
-    std::atomic<uint64_t> Dispatched{0};
-    std::atomic<uint64_t> Completed{0};
-    std::atomic<uint64_t> Failures{0};
-    std::atomic<uint64_t> Probes{0};
+    std::atomic<bool> Settled{false};
   };
 
   std::vector<std::unique_ptr<State>> Workers;

@@ -494,7 +494,8 @@ TEST(LintStage, InjectedLintFaultQuarantinesUnderStageLint) {
   LintOptions Lint;
   Lint.Enabled = true;
   SearchEngine Engine(App, gtx(), {}, {}, Plan, Lint);
-  SearchOutcome Out = Engine.exhaustive();
+  SearchOutcome Out =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
   EXPECT_EQ(Out.FailedPerStage[size_t(Stage::Lint)], 1u);
   ASSERT_EQ(Out.Quarantined.size(), 1u);
   EXPECT_EQ(Out.Evals[Out.Quarantined[0]].FlatIndex, 5u);
@@ -504,7 +505,9 @@ TEST(LintStage, InjectedLintFaultQuarantinesUnderStageLint) {
   // The same plan with the gate disabled never consults the injector at
   // Stage::Lint: --inject lint@N without --lint is inert.
   SearchEngine NoLint(App, gtx(), {}, {}, Plan);
-  EXPECT_TRUE(NoLint.exhaustive().Quarantined.empty());
+  SearchOutcome Inert =
+      SweepDriver(NoLint, {}).run(NoLint.planExhaustive()).Outcome;
+  EXPECT_TRUE(Inert.Quarantined.empty());
 }
 
 TEST(LintStage, CleanSpaceJournalsByteIdenticallyWithTheGate) {

@@ -7,7 +7,7 @@
 // The durable sweep-execution layer, bottom up: the checksummed
 // write-ahead journal (torn-tail and corruption semantics), the forked
 // worker transport, the EvalRecord wire format, and SweepDriver end to end
-// — journaled runs equal in-memory runs, the 500-config kill/resume
+// — journaled runs equal serial unjournaled ones, the 500-config kill/resume
 // acceptance scenario re-measures nothing, and isolated workers that crash
 // or hang cost exactly the in-flight configuration.
 //
@@ -425,7 +425,8 @@ void expectEqualOutcomes(const SearchOutcome &Got,
 
 TEST(SweepDriverTest, JournaledOutcomeEqualsInMemory) {
   SearchEngine Engine(toy100(), gtx());
-  SearchOutcome Want = Engine.exhaustive();
+  SearchOutcome Want =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
 
   SweepOptions Opts;
   Opts.JournalPath = tmpPath("drv_plain");
@@ -444,7 +445,8 @@ TEST(SweepDriverTest, IsolatedOutcomeEqualsInMemory) {
   if (!subprocessSupported())
     GTEST_SKIP() << "no fork on this platform";
   SearchEngine Engine(toy100(), gtx());
-  SearchOutcome Want = Engine.exhaustive();
+  SearchOutcome Want =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
 
   SweepOptions Opts;
   Opts.Isolate = true;
@@ -498,7 +500,9 @@ TEST(SweepDriverTest, IsolatedCrashAndHangQuarantineOnlyVictims) {
   Plan.Actions.push_back({7, FaultAction::Crash});
   Plan.Actions.push_back({13, FaultAction::Hang});
   SearchEngine Engine(toy100(), gtx(), {}, {}, Plan);
-  SearchOutcome Base = SearchEngine(toy100(), gtx()).exhaustive();
+  SearchEngine Clean(toy100(), gtx());
+  SearchOutcome Base =
+      SweepDriver(Clean, {}).run(Clean.planExhaustive()).Outcome;
 
   SweepOptions Opts;
   Opts.Isolate = true;
@@ -561,10 +565,11 @@ TEST(SweepDriverTest, InProcessActionsDegradeToQuarantine) {
 
 TEST(SweepDriverTest, RealAppJournaledResumeMatchesPlain) {
   // A real kernel app, not the toy: cp's exhaustive sweep, killed after
-  // ten records, must resume to the in-memory outcome.
+  // ten records, must resume to the unjournaled outcome.
   CpApp App(CpProblem::bench());
   SearchEngine Engine(App, gtx());
-  SearchOutcome Want = Engine.exhaustive();
+  SearchOutcome Want =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
 
   std::string Path = tmpPath("cp_resume");
   SweepOptions Opts;

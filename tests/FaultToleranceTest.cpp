@@ -15,6 +15,7 @@
 #include "ToyApps.h"
 
 #include "core/Search.h"
+#include "core/SearchStrategy.h"
 #include "core/SweepDriver.h"
 
 #include "emu/Emulator.h"
@@ -298,8 +299,9 @@ const ToyApp &toy() {
 
 /// Uninjected ground truth for the toy space.
 const SearchOutcome &toyBaseline() {
+  static SearchEngine Engine(toy(), gtx());
   static SearchOutcome Out =
-      SearchEngine(toy(), gtx()).exhaustive();
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
   return Out;
 }
 
@@ -342,7 +344,8 @@ TEST(Quarantine, InjectedSweepQuarantinesExactlyAndFindsOptimum) {
       {Victims[5], Stage::Simulate, ErrorCode::SimulatorDeadlock});
 
   SearchEngine Engine(toy(), gtx(), {}, {}, Plan);
-  SearchOutcome Out = Engine.exhaustive();
+  SearchOutcome Out =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
 
   // The sweep completed and quarantined exactly the six victims.
   std::vector<size_t> WantQuarantine(Victims.begin(), Victims.end());
@@ -388,7 +391,8 @@ TEST(Quarantine, ProbabilisticInjectionStillFindsABest) {
   Plan.Seed = 5;
   Plan.Rate[size_t(Stage::Simulate)] = 0.3;
   SearchEngine Engine(toy(), gtx(), {}, {}, Plan);
-  SearchOutcome Out = Engine.exhaustive();
+  SearchOutcome Out =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
   EXPECT_FALSE(Out.Quarantined.empty());
   EXPECT_LT(Out.Quarantined.size(), 100u);
   ASSERT_TRUE(Out.hasBest());
@@ -401,7 +405,8 @@ TEST(Quarantine, AllCandidatesFailingIsWellDefined) {
   FaultPlan Plan;
   Plan.Rate[size_t(Stage::Simulate)] = 1.0;
   SearchEngine Engine(toy(), gtx(), {}, {}, Plan);
-  SearchOutcome Out = Engine.exhaustive();
+  SearchOutcome Out =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
   EXPECT_FALSE(Out.hasBest());
   EXPECT_EQ(Out.Quarantined.size(), 100u);
   EXPECT_EQ(Out.TotalMeasuredSeconds, 0.0);
@@ -415,7 +420,8 @@ TEST(Quarantine, MetricStageFailuresShrinkValidCount) {
   FaultPlan Plan;
   Plan.Rate[size_t(Stage::Verify)] = 1.0;
   SearchEngine Engine(toy(), gtx(), {}, {}, Plan);
-  SearchOutcome Out = Engine.exhaustive();
+  SearchOutcome Out =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
   EXPECT_EQ(Out.ValidCount, 0u);
   EXPECT_TRUE(Out.Candidates.empty());
   EXPECT_EQ(Out.FailedPerStage[size_t(Stage::Verify)], 100u);
@@ -428,7 +434,8 @@ TEST(Quarantine, GreedyClimbSkipsFailedNeighbors) {
   Plan.Seed = 3;
   Plan.Rate[size_t(Stage::Simulate)] = 0.25;
   SearchEngine Engine(toy(), gtx(), {}, {}, Plan);
-  SearchOutcome Out = Engine.greedyClimb(40, 11);
+  SearchOutcome Out =
+      runAdaptiveSweep(Engine, StrategyKind::Greedy, {11, 40}, {}).Outcome;
   // The climb terminates, measures something, and every candidate is a
   // successful measurement (failures live in Quarantined instead).
   ASSERT_TRUE(Out.hasBest());
@@ -473,7 +480,9 @@ TEST(Quarantine, RealDeadlockQuarantinedInSweep) {
   };
 
   MixedApp App;
-  SearchOutcome Out = SearchEngine(App, gtx()).exhaustive();
+  SearchEngine Engine(App, gtx());
+  SearchOutcome Out =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
   ASSERT_EQ(Out.Evals.size(), 6u);
   EXPECT_EQ(Out.Quarantined.size(), 3u);
   EXPECT_EQ(Out.FailedPerStage[size_t(Stage::Simulate)], 3u);
@@ -619,7 +628,8 @@ TEST(Resume, WithInjectionArmedPreservesQuarantine) {
   SearchEngine Engine(toy(), gtx(), {}, {}, Plan);
   const std::string Extra = "inject:test";
 
-  SearchOutcome Want = Engine.exhaustive();
+  SearchOutcome Want =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
   std::string Path = tmpJournal("inject");
   ASSERT_EQ(runJournaled(Engine, Path, false, Extra).Status,
             SweepStatus::Completed);

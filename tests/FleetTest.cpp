@@ -462,12 +462,14 @@ TEST(FleetDistributedTest, TwoWorkersMergeByteIdentical) {
   InProcessWorker W1(Dir + "/w1"), W2(Dir + "/w2");
   ASSERT_TRUE(W1.start() && W2.start());
 
+  // Local execution stays allowed: with both workers live, the fleet must
+  // not degrade, not even before the runners' first handshakes.
   FleetOptions FO = fleetOptions(Dir);
   FO.Workers = {W1.endpoint(), W2.endpoint()};
-  FO.AllowLocal = false;
   FleetReport Rep = FleetCoordinator(std::move(FO)).run();
   ASSERT_EQ(Rep.Status, FleetStatus::Completed) << Rep.Error.Message;
   EXPECT_EQ(Rep.LocalShards, 0u);
+  EXPECT_FALSE(Rep.Degraded);
   EXPECT_EQ(Rep.ShardsCompleted, Rep.ShardsTotal);
   EXPECT_EQ(slurp(Dir + "/fleet.journal"), slurp(Ref));
 

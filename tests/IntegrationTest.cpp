@@ -13,7 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Lint.h"
-#include "core/Search.h"
+#include "core/SweepDriver.h"
 #include "kernels/Cp.h"
 #include "kernels/MatMul.h"
 #include "kernels/MriFhd.h"
@@ -63,8 +63,10 @@ protected:
 TEST_P(HeadlineClaim, ParetoSubsetContainsTheOptimum) {
   AppCase &C = apps()[GetParam()];
   SearchEngine Engine(*C.App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
-  SearchOutcome Pruned = Engine.paretoPruned();
+  SearchOutcome Full =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
+  SearchOutcome Pruned =
+      SweepDriver(Engine, {}).run(Engine.planPareto()).Outcome;
 
   // §5.2: "For all benchmarks, the Pareto-optimal subset contains the
   // best configuration found by exhaustive search."
@@ -85,8 +87,10 @@ TEST_P(HeadlineClaim, ParetoSubsetContainsTheOptimum) {
 TEST_P(HeadlineClaim, PrunedEvaluationIsMuchCheaper) {
   AppCase &C = apps()[GetParam()];
   SearchEngine Engine(*C.App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
-  SearchOutcome Pruned = Engine.paretoPruned();
+  SearchOutcome Full =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
+  SearchOutcome Pruned =
+      SweepDriver(Engine, {}).run(Engine.planPareto()).Outcome;
   EXPECT_LT(Pruned.TotalMeasuredSeconds, 0.5 * Full.TotalMeasuredSeconds)
       << C.Name;
 }
@@ -96,7 +100,8 @@ TEST_P(HeadlineClaim, PerformanceSpreadIsLarge) {
   // for MRI); pruning matters because picking badly is expensive.
   AppCase &C = apps()[GetParam()];
   SearchEngine Engine(*C.App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
+  SearchOutcome Full =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
   double Worst = 0;
   for (size_t I : Full.Candidates)
     Worst = std::max(Worst, Full.Evals[I].TimeSeconds);
@@ -143,7 +148,8 @@ INSTANTIATE_TEST_SUITE_P(AllApps, HeadlineClaim,
 TEST(MriClusters, InClusterSpreadIsSmall) {
   MriFhdApp App(MriProblem::bench());
   SearchEngine Engine(App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
+  SearchOutcome Full =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
 
   // Group the measured configs by (tpb, unroll): each group is one §5.2
   // metric cluster across the 7 work values.
@@ -175,17 +181,20 @@ TEST(MriClusters, InClusterSpreadIsSmall) {
 TEST(BandwidthScreen, MatMulOptimumSurvivesScreening) {
   MatMulApp App(MatMulProblem::bench());
   SearchEngine Engine(App, MachineModel::geForce8800Gtx());
-  SearchOutcome Full = Engine.exhaustive();
+  SearchOutcome Full =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
   ParetoOptions Screen;
   Screen.ScreenBandwidthBound = true;
-  SearchOutcome Screened = Engine.paretoPruned(Screen);
+  SearchOutcome Screened =
+      SweepDriver(Engine, {}).run(Engine.planPareto(Screen)).Outcome;
   EXPECT_DOUBLE_EQ(Screened.BestTime, Full.BestTime);
   // Every screened candidate is genuinely not bandwidth-bound; the
   // unscreened curve (the paper's Fig. 6(a)) contains bandwidth-bound
   // 8x8 configurations.
   for (size_t I : Screened.Candidates)
     EXPECT_FALSE(Screened.Evals[I].Metrics.bandwidthBound());
-  SearchOutcome Unscreened = Engine.paretoPruned();
+  SearchOutcome Unscreened =
+      SweepDriver(Engine, {}).run(Engine.planPareto()).Outcome;
   bool AnyBound = false;
   for (size_t I : Unscreened.Candidates)
     AnyBound = AnyBound || Unscreened.Evals[I].Metrics.bandwidthBound();

@@ -268,17 +268,15 @@ TEST(ParallelSweep, InterruptThenResumeReachesSerialBytes) {
   Opts.JournalPath = Path;
   Opts.Fingerprint = toyFp(toy100());
   Opts.Jobs = 8;
-  Opts.InterruptAfterRecords = 7;
-  SweepReport Cut = SweepDriver(Engine, Opts).run(Engine.planExhaustive());
+  SweepReport Cut =
+      SweepDriver(Engine, stopAfter(Opts, 7)).run(Engine.planExhaustive());
   ASSERT_EQ(Cut.Status, SweepStatus::Interrupted);
-  clearSweepInterrupt();
 
   // The committed prefix is a prefix of the serial journal, byte for byte.
   std::string Prefix = slurp(Path);
   ASSERT_FALSE(Prefix.empty());
   EXPECT_EQ(slurp(WantPath).compare(0, Prefix.size(), Prefix), 0);
 
-  Opts.InterruptAfterRecords = 0;
   Opts.Resume = true;
   SweepReport Res = SweepDriver(Engine, Opts).run(Engine.planExhaustive());
   ASSERT_EQ(Res.Status, SweepStatus::Completed);
@@ -300,12 +298,11 @@ TEST(ParallelSweep, InterruptUnderInjectionStaysResumable) {
   Opts.JournalPath = Path;
   Opts.Fingerprint = toyFp(toy100(), "crash@3");
   Opts.Jobs = 4;
-  Opts.InterruptAfterRecords = 10; // past the quarantined config
-  SweepReport Cut = SweepDriver(Engine, Opts).run(Engine.planExhaustive());
+  // Stop past the quarantined config.
+  SweepReport Cut =
+      SweepDriver(Engine, stopAfter(Opts, 10)).run(Engine.planExhaustive());
   ASSERT_EQ(Cut.Status, SweepStatus::Interrupted);
-  clearSweepInterrupt();
 
-  Opts.InterruptAfterRecords = 0;
   Opts.Resume = true;
   SweepReport Res = SweepDriver(Engine, Opts).run(Engine.planExhaustive());
   ASSERT_EQ(Res.Status, SweepStatus::Completed);
@@ -328,7 +325,9 @@ TEST(ParallelSweep, JobsWarnedAndIgnoredUnderIsolation) {
   for (const std::string &W : Rep.Warnings)
     Warned |= W.find("--jobs is ignored with --isolate") != std::string::npos;
   EXPECT_TRUE(Warned);
-  expectEqualOutcomes(Rep.Outcome, Engine.exhaustive());
+  SearchOutcome Want =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
+  expectEqualOutcomes(Rep.Outcome, Want);
 }
 
 //===--- Shard clamping ---------------------------------------------------------//
@@ -347,7 +346,9 @@ TEST(ShardClamping, OversubscribedShardIsCappedWithWarning) {
   for (const std::string &W : Rep.Warnings)
     Warned |= W.find("capping the shard size") != std::string::npos;
   EXPECT_TRUE(Warned);
-  expectEqualOutcomes(Rep.Outcome, Engine.exhaustive());
+  SearchOutcome Want =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
+  expectEqualOutcomes(Rep.Outcome, Want);
 }
 
 TEST(ShardClamping, ZeroShardBecomesOneWithWarning) {
@@ -365,7 +366,9 @@ TEST(ShardClamping, ZeroShardBecomesOneWithWarning) {
   for (const std::string &W : Rep.Warnings)
     Warned |= W.find("--shard 0 is invalid") != std::string::npos;
   EXPECT_TRUE(Warned);
-  expectEqualOutcomes(Rep.Outcome, Engine.exhaustive());
+  SearchOutcome Want =
+      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
+  expectEqualOutcomes(Rep.Outcome, Want);
 }
 
 //===--- Bandwidth fast path ----------------------------------------------------//

@@ -16,6 +16,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ToyApps.h"
+
 #include "core/EvalRecord.h"
 #include "core/SearchStrategy.h"
 #include "core/SweepDriver.h"
@@ -76,9 +78,10 @@ SweepReport runAdaptive(const SearchEngine &Eng, const TunableApp &App,
   Opts.JournalPath = Journal;
   Opts.Resume = Resume;
   Opts.Jobs = SO.Jobs;
-  Opts.InterruptAfterRecords = InterruptAfter;
   if (!Journal.empty())
     Opts.Fingerprint = adaptiveHeader(App, Kind, SO);
+  if (InterruptAfter != 0)
+    Opts = stopAfter(std::move(Opts), InterruptAfter);
   return runAdaptiveSweep(Eng, Kind, SO, Opts);
 }
 
@@ -287,7 +290,6 @@ TEST(AdaptiveDurability, KillAndResumeMatchesUninterruptedRun) {
     clearSweepInterrupt();
     SweepReport Cut = runAdaptive(Eng, App, Kind, SO, Killed,
                                   /*Resume=*/false, /*InterruptAfter=*/5);
-    clearSweepInterrupt();
     ASSERT_EQ(Cut.Status, SweepStatus::Interrupted) << strategyName(Kind);
 
     SweepReport Resumed = runAdaptive(Eng, App, Kind, SO, Killed,

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Search.h"
+#include "core/SearchStrategy.h"
 
 #include "kernels/MatMul.h"
 
@@ -27,19 +27,35 @@ const SearchEngine &engine() {
   return Engine;
 }
 
+/// Measures \p Plan through the sweep driver, serially and unjournaled.
+SearchOutcome measure(SweepPlan Plan) {
+  return SweepDriver(engine(), {}).run(std::move(Plan)).Outcome;
+}
+
+/// Runs the `greedy` strategy with \p Budget probes.
+SearchOutcome greedy(uint64_t Budget, uint64_t Seed) {
+  StrategyOptions Opts{Seed, Budget};
+  return runAdaptiveSweep(engine(), StrategyKind::Greedy, Opts, {}).Outcome;
+}
+
 TEST(Search, ExhaustiveMeasuresEveryUsableConfig) {
-  SearchOutcome Out = engine().exhaustive();
+  SearchOutcome Out = measure(engine().planExhaustive());
   EXPECT_EQ(Out.Candidates.size(), Out.ValidCount);
   for (size_t I : Out.Candidates) {
     EXPECT_TRUE(Out.Evals[I].usable());
     EXPECT_TRUE(Out.Evals[I].Measured);
     EXPECT_GT(Out.Evals[I].TimeSeconds, 0);
+    // An independent check on the driver: measuring a fresh copy by hand
+    // gives the time the sweep recorded.
+    ConfigEval Fresh = engine().evaluator().evaluateAt(Out.Evals[I].FlatIndex);
+    ASSERT_TRUE(engine().evaluator().measure(Fresh));
+    EXPECT_EQ(Fresh.TimeSeconds, Out.Evals[I].TimeSeconds);
   }
   EXPECT_EQ(Out.spaceReduction(), 0.0);
 }
 
 TEST(Search, BestIndexIsConsistent) {
-  SearchOutcome Out = engine().exhaustive();
+  SearchOutcome Out = measure(engine().planExhaustive());
   ASSERT_LT(Out.BestIndex, Out.Evals.size());
   for (size_t I : Out.Candidates)
     EXPECT_GE(Out.Evals[I].TimeSeconds, Out.BestTime);
@@ -47,7 +63,7 @@ TEST(Search, BestIndexIsConsistent) {
 }
 
 TEST(Search, ParetoPrunedIsSubsetOfUsable) {
-  SearchOutcome Out = engine().paretoPruned();
+  SearchOutcome Out = measure(engine().planPareto());
   EXPECT_LT(Out.Candidates.size(), Out.ValidCount);
   for (size_t I : Out.Candidates)
     EXPECT_TRUE(Out.Evals[I].usable());
@@ -65,15 +81,15 @@ TEST(Search, ParetoFindsNearOptimum) {
   // this failure mode); the curve still lands close.  The exact
   // found-the-optimum claim is asserted at bench scale in
   // IntegrationTest.
-  SearchOutcome Full = engine().exhaustive();
-  SearchOutcome Pruned = engine().paretoPruned();
+  SearchOutcome Full = measure(engine().planExhaustive());
+  SearchOutcome Pruned = measure(engine().planPareto());
   EXPECT_LE(Pruned.BestTime, Full.BestTime * 1.25);
   EXPECT_LT(Pruned.TotalMeasuredSeconds, Full.TotalMeasuredSeconds);
 }
 
 TEST(Search, ClusteredSelectsAtMostOnePerCluster) {
-  SearchOutcome Pruned = engine().paretoPruned();
-  SearchOutcome Clustered = engine().paretoClustered();
+  SearchOutcome Pruned = measure(engine().planPareto());
+  SearchOutcome Clustered = measure(engine().planClustered());
   EXPECT_LE(Clustered.Candidates.size(), Pruned.Candidates.size());
   EXPECT_GE(Clustered.Candidates.size(), 1u);
   // Clustered candidates are a subset of the pruned candidates.
@@ -83,15 +99,15 @@ TEST(Search, ClusteredSelectsAtMostOnePerCluster) {
 }
 
 TEST(Search, RandomSampleDeterministicPerSeed) {
-  SearchOutcome A = engine().randomSample(10, 42);
-  SearchOutcome B = engine().randomSample(10, 42);
-  SearchOutcome C = engine().randomSample(10, 43);
+  SearchOutcome A = measure(engine().planRandom(10, 42));
+  SearchOutcome B = measure(engine().planRandom(10, 42));
+  SearchOutcome C = measure(engine().planRandom(10, 43));
   EXPECT_EQ(A.Candidates, B.Candidates);
   EXPECT_NE(A.Candidates, C.Candidates);
 }
 
 TEST(Search, RandomSampleDrawsDistinctUsable) {
-  SearchOutcome Out = engine().randomSample(20, 7);
+  SearchOutcome Out = measure(engine().planRandom(20, 7));
   EXPECT_EQ(Out.Candidates.size(), 20u);
   EXPECT_TRUE(std::is_sorted(Out.Candidates.begin(), Out.Candidates.end()));
   EXPECT_TRUE(std::adjacent_find(Out.Candidates.begin(),
@@ -102,53 +118,53 @@ TEST(Search, RandomSampleDrawsDistinctUsable) {
 }
 
 TEST(Search, RandomSampleCapsAtSpaceSize) {
-  SearchOutcome Out = engine().randomSample(100000, 3);
+  SearchOutcome Out = measure(engine().planRandom(100000, 3));
   EXPECT_EQ(Out.Candidates.size(), Out.ValidCount);
 }
 
 TEST(Search, RandomSampleNeverBeatsExhaustive) {
-  SearchOutcome Full = engine().exhaustive();
+  SearchOutcome Full = measure(engine().planExhaustive());
   for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
-    SearchOutcome R = engine().randomSample(10, Seed);
+    SearchOutcome R = measure(engine().planRandom(10, Seed));
     EXPECT_GE(R.BestTime, Full.BestTime);
   }
 }
 
 TEST(Search, SpaceReductionArithmetic) {
-  SearchOutcome Out = engine().paretoPruned();
+  SearchOutcome Out = measure(engine().planPareto());
   double Expected =
       1.0 - double(Out.Candidates.size()) / double(Out.ValidCount);
   EXPECT_DOUBLE_EQ(Out.spaceReduction(), Expected);
 }
 
 TEST(Search, StrategyNamesSet) {
-  EXPECT_EQ(engine().paretoPruned().Strategy, "pareto");
-  EXPECT_EQ(engine().randomSample(1, 1).Strategy, "random");
-  EXPECT_EQ(engine().paretoClustered().Strategy, "pareto+cluster");
+  EXPECT_EQ(measure(engine().planPareto()).Strategy, "pareto");
+  EXPECT_EQ(measure(engine().planRandom(1, 1)).Strategy, "random");
+  EXPECT_EQ(measure(engine().planClustered()).Strategy, "pareto+cluster");
 }
 
 } // namespace
 
-// NOTE: appended greedy-climb coverage (kept in this file so the shared
-// engine() fixture is reused).
+// The `greedy` strategy (kept in this file so the shared engine() fixture
+// is reused).
 namespace {
 
 TEST(Greedy, DeterministicPerSeed) {
-  SearchOutcome A = engine().greedyClimb(20, 5);
-  SearchOutcome B = engine().greedyClimb(20, 5);
+  SearchOutcome A = greedy(20, 5);
+  SearchOutcome B = greedy(20, 5);
   EXPECT_EQ(A.Candidates, B.Candidates);
   EXPECT_DOUBLE_EQ(A.BestTime, B.BestTime);
 }
 
 TEST(Greedy, RespectsBudget) {
-  SearchOutcome Out = engine().greedyClimb(5, 11);
+  SearchOutcome Out = greedy(5, 11);
   EXPECT_LE(Out.Candidates.size(), 5u);
   EXPECT_GE(Out.Candidates.size(), 1u);
   EXPECT_EQ(Out.Strategy, "greedy");
 }
 
 TEST(Greedy, CandidatesAreUsableAndMeasured) {
-  SearchOutcome Out = engine().greedyClimb(30, 2);
+  SearchOutcome Out = greedy(30, 2);
   for (size_t I : Out.Candidates) {
     EXPECT_TRUE(Out.Evals[I].usable());
     EXPECT_TRUE(Out.Evals[I].Measured);
@@ -157,9 +173,9 @@ TEST(Greedy, CandidatesAreUsableAndMeasured) {
 }
 
 TEST(Greedy, NeverBeatsExhaustive) {
-  SearchOutcome Full = engine().exhaustive();
+  SearchOutcome Full = measure(engine().planExhaustive());
   for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
-    SearchOutcome G = engine().greedyClimb(40, Seed);
+    SearchOutcome G = greedy(40, Seed);
     EXPECT_GE(G.BestTime, Full.BestTime);
   }
 }
@@ -167,7 +183,7 @@ TEST(Greedy, NeverBeatsExhaustive) {
 TEST(Greedy, ReachesALocalOptimumUnderLargeBudget) {
   // With an unbounded budget the walk ends at a configuration none of
   // whose measured one-step neighbors is faster.
-  SearchOutcome Out = engine().greedyClimb(100000, 9);
+  SearchOutcome Out = greedy(100000, 9);
   ASSERT_LT(Out.BestIndex, Out.Evals.size());
   const ConfigSpace &S = app().space();
   const ConfigPoint &BestP = Out.Evals[Out.BestIndex].Point;

@@ -8,20 +8,24 @@
 // configuration, so the whole raw space is a candidate set and injected or
 // simulated failures are the only source of quarantine.  Shared between
 // FaultToleranceTest (quarantine semantics) and DurabilityTest (journal,
-// resume, isolation) so both exercise the exact same space.
+// resume, isolation) so both exercise the exact same space.  Also home to
+// stopAfter, the deterministic mid-sweep kill point of the resume tests.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef G80TUNE_TESTS_TOYAPPS_H
 #define G80TUNE_TESTS_TOYAPPS_H
 
+#include "core/SweepDriver.h"
 #include "core/TunableApp.h"
 #include "emu/Emulator.h"
 #include "ptx/Builder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -79,6 +83,16 @@ public:
 private:
   ConfigSpace Space;
 };
+
+/// \p Opts plus a stop request (as SIGTERM would deliver, without the
+/// process-wide flag) once \p N records are freshly committed: a
+/// deterministic mid-sweep kill point under any job count.
+inline SweepOptions stopAfter(SweepOptions Opts, size_t N) {
+  auto Done = std::make_shared<std::atomic<size_t>>(0);
+  Opts.OnProgress = [Done](const SweepProgress &P) { *Done = P.FreshDone; };
+  Opts.ShouldStop = [Done, N] { return *Done >= N; };
+  return Opts;
+}
 
 } // namespace g80
 

@@ -197,8 +197,10 @@ using FlagMap = std::map<std::string, std::string>;
 
 /// A subcommand and the flags its usage() line lists (plus --machine for
 /// show and inspect): value flags take an argument, switches do not.
+/// Only report and lint take a positional argument.
 struct Subcommand {
   std::string_view Name, ValueFlags, Switches;
+  bool TakesPositional = false;
 };
 
 constexpr Subcommand Subcommands[] = {
@@ -207,8 +209,8 @@ constexpr Subcommand Subcommands[] = {
      "app strategy space machine budget seed inject jobs sim-engine journal "
      "task-timeout shard out trace",
      "fast-bw lint resume isolate progress"},
-    {"report", "trace top format", ""},
-    {"lint", "app config format", ""},
+    {"report", "trace top format", "", true},
+    {"lint", "app config format", "", true},
     {"show", "app config machine", ""},
     {"inspect", "file block grid machine", ""},
     {"serve", "spool socket tcp-port queue-limit executors jobs deadline trace",
@@ -219,9 +221,10 @@ constexpr Subcommand Subcommands[] = {
      "fast-bw lint no-local progress"},
 };
 
-/// Parses Argv[2..] against \p Cmd's flags; the first other argument is
-/// \p Positional (`tune report FILE`).  An unlisted flag, or a value flag
-/// with no value after it, is a usage error naming the flag.
+/// Parses Argv[2..] against \p Cmd's flags; a subcommand that takes one
+/// puts its single other argument in \p Positional (`tune report FILE`).
+/// An unlisted flag, a value flag with no value after it, or any other
+/// stray word is a usage error naming it.
 bool parseFlags(int Argc, char **Argv, const Subcommand &Cmd, FlagMap &Flags,
                 std::string &Positional) {
   auto Listed = [](std::string_view List, const std::string &Word) {
@@ -231,8 +234,12 @@ bool parseFlags(int Argc, char **Argv, const Subcommand &Cmd, FlagMap &Flags,
   for (int I = 2; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
     if (!Arg.starts_with("--")) {
-      if (Positional.empty())
-        Positional = Arg;
+      if (!Cmd.TakesPositional || !Positional.empty()) {
+        std::cerr << "error: tune " << Cmd.Name << ": unexpected argument '"
+                  << Arg << "'\n";
+        return false;
+      }
+      Positional = Arg;
       continue;
     }
     std::string Name(Arg.substr(2));
