@@ -37,8 +37,8 @@
 #include "kernels/MriFhd.h"
 #include "kernels/Sad.h"
 #include "support/Format.h"
+#include "support/Parallel.h"
 #include "support/TextTable.h"
-#include "support/ThreadPool.h"
 
 #include <cstdlib>
 #include <fstream>
@@ -192,7 +192,7 @@ int main(int argc, char **argv) {
   std::string OutPath = "BENCH_search.json";
   std::vector<uint64_t> Budgets = {8, 16, 32, 64};
   uint64_t Seed = 1;
-  unsigned Jobs = ThreadPool::defaultConcurrency();
+  unsigned Jobs = defaultJobs();
   bool Tiny = false;
   double MinQuality = -1;
 

@@ -7,7 +7,7 @@
 // Times an exhaustive sweep of each application's configuration space
 // three ways — serially under the reference scan scheduler core, serially
 // under the event core (the default engine), and under the event core
-// with the work-stealing in-process pool — and reports the parallel
+// with --jobs in-process threads — and reports the parallel
 // speedup plus the throughput numbers (configurations/second and
 // simulated cycles/second) behind each.  The per-engine columns measure
 // the whole sweep (planning, kernel construction, metric evaluation, and
@@ -38,8 +38,8 @@
 #include "kernels/MriFhd.h"
 #include "kernels/Sad.h"
 #include "support/Format.h"
+#include "support/Parallel.h"
 #include "support/TextTable.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <optional>
@@ -134,9 +134,9 @@ void writeJson(const std::string &Path, unsigned Jobs,
   // speedup numbers are noise: scaling_valid tells consumers (CI perf
   // dashboards, regression gates) to skip speedup assertions rather
   // than fail on hardware that cannot express the difference.
-  bool ScalingValid = ThreadPool::defaultConcurrency() >= 2 && Jobs >= 2;
+  bool ScalingValid = defaultJobs() >= 2 && Jobs >= 2;
   OS << "{\n  \"bench\": \"sweep_perf\",\n  \"jobs\": " << Jobs
-     << ",\n  \"hardware_concurrency\": " << ThreadPool::defaultConcurrency()
+     << ",\n  \"hardware_concurrency\": " << defaultJobs()
      << ",\n  \"scaling_valid\": " << (ScalingValid ? "true" : "false")
      << ",\n  \"apps\": [\n";
   for (size_t I = 0; I != Results.size(); ++I) {
@@ -210,7 +210,7 @@ int main(int argc, char **argv) {
   std::string Which = "all";
   std::string OutPath = "BENCH_sweep.json";
   std::string TracePath;
-  unsigned Jobs = ThreadPool::defaultConcurrency();
+  unsigned Jobs = defaultJobs();
   bool Tiny = false;
 
   for (int I = 1; I < argc; ++I) {
@@ -249,7 +249,7 @@ int main(int argc, char **argv) {
   ScopedTracer TraceGuard(Trace ? &*Trace : nullptr);
 
   std::cout << "=== Sweep throughput: serial vs --jobs " << Jobs << " ("
-            << ThreadPool::defaultConcurrency()
+            << defaultJobs()
             << " hardware threads) ===\n\n";
 
   struct Entry {

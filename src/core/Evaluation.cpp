@@ -8,7 +8,7 @@
 
 #include "analysis/Lint.h"
 #include "analysis/Verifier.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 #include "support/Trace.h"
 
 #include <cassert>
@@ -114,17 +114,9 @@ std::vector<ConfigEval> Evaluator::evaluateMetrics(unsigned Jobs) const {
   for (uint64_t I = 0; I != Raw; ++I)
     Evals[I].FlatIndex = I;
 
-  if (Jobs > 1 && Raw > 1) {
-    ThreadPool Pool(std::min<uint64_t>(Jobs, Raw));
-    // Chunk to amortize dispatch; each index writes only its own slot, so
-    // the result is identical to the serial loop below.
-    size_t Grain = std::max<size_t>(1, Raw / (size_t(Pool.size()) * 8));
-    parallelFor(Pool, Raw, Grain,
-                [&](size_t I) { evaluateOne(Evals[I]); });
-  } else {
-    for (uint64_t I = 0; I != Raw; ++I)
-      evaluateOne(Evals[I]);
-  }
+  // Each index writes only its own slot, so any job count gives the same
+  // result.
+  parallelFor(Jobs, Raw, [&](size_t I) { evaluateOne(Evals[I]); });
 
   {
     std::lock_guard<std::mutex> L(CacheM);
@@ -176,16 +168,8 @@ std::vector<ConfigEval>
 Evaluator::evaluateSubset(const std::vector<uint64_t> &Indices,
                           unsigned Jobs) const {
   std::vector<ConfigEval> Evals(Indices.size());
-  if (Jobs > 1 && Indices.size() > 1) {
-    ThreadPool Pool(std::min<uint64_t>(Jobs, Indices.size()));
-    size_t Grain =
-        std::max<size_t>(1, Indices.size() / (size_t(Pool.size()) * 8));
-    parallelFor(Pool, Indices.size(), Grain,
-                [&](size_t I) { Evals[I] = evaluateAt(Indices[I]); });
-  } else {
-    for (size_t I = 0; I != Indices.size(); ++I)
-      Evals[I] = evaluateAt(Indices[I]);
-  }
+  parallelFor(Jobs, Indices.size(),
+              [&](size_t I) { Evals[I] = evaluateAt(Indices[I]); });
   return Evals;
 }
 

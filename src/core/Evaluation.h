@@ -79,9 +79,9 @@ public:
   /// failures (and injected parse/verify/estimate faults) mark the entry
   /// failed() with a stage-tagged diagnostic; the sweep continues.
   ///
-  /// With \p Jobs > 1 the per-configuration work is spread across a
-  /// work-stealing pool; every configuration is computed independently
-  /// into its own slot, so the result is identical for any job count.
+  /// With \p Jobs > 1 the per-configuration work is spread with
+  /// parallelFor; every configuration is computed independently into its
+  /// own slot, so the result is identical for any job count.
   /// The full result vector is memoized (keyed by nothing — it depends
   /// only on the evaluator's immutable state), so strategy planning and
   /// benchmarks stop recomputing the same metrics; callers get a copy.

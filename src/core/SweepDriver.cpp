@@ -7,8 +7,8 @@
 #include "core/SweepDriver.h"
 
 #include "core/EvalRecord.h"
+#include "support/Parallel.h"
 #include "support/Subprocess.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -411,70 +411,70 @@ bool runInProcess(DriveState &D, std::deque<size_t> &Todo) {
   return true;
 }
 
-/// The parallel in-process path.  Workers measure a round into their own
-/// (disjoint) Evals slots in whatever order the pool schedules them; this
-/// thread is the single committer, folding results into the outcome and
-/// the journal strictly in round order.  Commit order is what the
-/// journal format, noteMeasured's first-wins tie-breaking, and the
-/// floating-point accumulation of TotalMeasuredSeconds all depend on, so
-/// pinning it makes the sweep's journal and SearchOutcome bit-identical
-/// to a serial run's regardless of job count or scheduling.
+/// The parallel in-process path.  This thread runs parallelFor over the
+/// round, whose threads claim it front to back and measure into their own
+/// (disjoint) Evals slots; one committer thread folds each result into the
+/// outcome and the journal as soon as it and every earlier one are done.
+/// Commit order is what the journal format, noteMeasured's first-wins
+/// tie-breaking, and the floating-point accumulation of
+/// TotalMeasuredSeconds all depend on, so pinning it makes the sweep's
+/// journal and SearchOutcome bit-identical to a serial run's regardless of
+/// job count or scheduling.
+///
+/// The caller measures, rather than commits, so measurement reuses the
+/// heap that static evaluation (also a parallelFor on the caller) left
+/// free: a separate measuring thread allocates from a fresh malloc arena,
+/// which raised g80bench search_large's peak RSS by ~10% on a 4-vCPU VM.
 ///
 /// On interrupt only the contiguous committed prefix is durable — exactly
 /// the serial semantics — and measured-but-uncommitted results are
 /// discarded (they will be re-measured, deterministically, on resume).
+/// In-order claiming bounds that loss to what the threads finished past
+/// the committer.
 bool runInProcessParallel(DriveState &D, std::deque<size_t> &Todo,
                           unsigned Jobs) {
   std::vector<size_t> Order(Todo.begin(), Todo.end());
   Todo.clear();
   size_t N = Order.size();
-  if (N == 0)
-    return true;
 
   std::mutex M;
   std::condition_variable Cv;
   std::vector<char> Ready(N, 0); // Guarded by M.
   std::atomic<bool> Cancel{false};
 
-  ThreadPool Pool(unsigned(std::min<size_t>(Jobs, N)));
-  for (size_t I = 0; I != N; ++I) {
-    Pool.submit([&D, &M, &Cv, &Ready, &Cancel, &Order, I] {
-      if (!Cancel.load(std::memory_order_acquire))
-        D.measureOnly(D.out().Evals[Order[I]]);
+  // Declared after what it uses, so a caller unwinding out of parallelFor
+  // stops and joins it before they go.
+  std::jthread Committer([&](std::stop_token Unwinding) {
+    for (size_t Next = 0; Next != N && !Unwinding.stop_requested();) {
+      if (D.stopRequested()) {
+        Cancel.store(true, std::memory_order_release);
+        return;
+      }
       {
-        std::lock_guard<std::mutex> L(M);
-        Ready[I] = 1;
+        std::unique_lock<std::mutex> L(M);
+        if (!Ready[Next]) {
+          // Bounded wait so a signal arriving between checks still stops
+          // the sweep promptly.
+          Cv.wait_for(L, std::chrono::milliseconds(50));
+          continue;
+        }
       }
-      Cv.notify_one();
-    });
-  }
-
-  size_t Next = 0;
-  bool Interrupted = false;
-  while (Next != N) {
-    if (D.stopRequested()) {
-      Interrupted = true;
-      break;
+      D.complete(Order[Next]);
+      ++Next;
     }
+  });
+  // Cancelled claims finish without measuring.
+  parallelFor(Jobs, N, [&](size_t I) {
+    if (!Cancel.load(std::memory_order_acquire))
+      D.measureOnly(D.out().Evals[Order[I]]);
     {
-      std::unique_lock<std::mutex> L(M);
-      if (!Ready[Next]) {
-        // Bounded wait so a signal arriving between checks still stops
-        // the sweep promptly.
-        Cv.wait_for(L, std::chrono::milliseconds(50));
-        continue;
-      }
+      std::lock_guard<std::mutex> L(M);
+      Ready[I] = 1;
     }
-    D.complete(Order[Next]);
-    ++Next;
-  }
-
-  if (Interrupted)
-    Cancel.store(true, std::memory_order_release);
-  // Drain before the locals above go out of scope (cancelled tasks finish
-  // immediately without measuring).
-  Pool.wait();
-  return !Interrupted;
+    Cv.notify_one();
+  });
+  Committer.join();
+  return !Cancel.load(std::memory_order_relaxed);
 }
 
 /// Validates the shard size once per sweep, against the work the budget

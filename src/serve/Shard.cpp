@@ -67,8 +67,8 @@ bool g80::validateServeRequest(const TuneRequest &Req, std::string &Error) {
 
 std::unique_ptr<SearchEngine> g80::makeServeEngine(const TunableApp &App,
                                                    const TuneRequest &Req,
-                                                   FaultPlan Faults,
-                                                   SimOptions SimO) {
+                                                   FaultPlan Faults) {
+  SimOptions SimO;
   SimO.BandwidthFastPath = Req.FastBw;
   return std::make_unique<SearchEngine>(App, makeServeMachine(Req.Machine),
                                         MetricOptions{}, SimO,

@@ -51,12 +51,11 @@ bool isServeMachine(std::string_view Name);
 bool validateServeRequest(const TuneRequest &Req, std::string &Error);
 
 /// The engine \p Req asks for over \p App: its machine, fast path and
-/// lint gate.  \p Faults and \p SimO's engine choice come from `tune
-/// search --inject` and `--sim-engine`; the wire carries neither.
+/// lint gate.  \p Faults comes from `tune search --inject`, which the
+/// wire never carries.
 std::unique_ptr<SearchEngine> makeServeEngine(const TunableApp &App,
                                               const TuneRequest &Req,
-                                              FaultPlan Faults = {},
-                                              SimOptions SimO = {});
+                                              FaultPlan Faults = {});
 
 /// Whether \p Req's strategy has an up-front candidate plan.  Adaptive
 /// strategies (greedy/anneal/genetic) run as whole jobs through

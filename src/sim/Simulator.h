@@ -63,8 +63,8 @@ struct SimOptions {
     /// wake cycle.  The fast path.
     Event,
     /// The original round-robin scan over every resident warp per issue
-    /// slot.  Kept as the debugging/differential reference (`tune search
-    /// --sim-engine scan`).
+    /// slot.  Kept as the differential reference (tests/SimEngineTest.cpp,
+    /// bench/sim_engine_perf) and as the fallback above 64 resident warps.
     Scan,
   };
 
@@ -80,9 +80,9 @@ struct SimOptions {
   /// configuration as bandwidth-bound, replace cycle simulation with the
   /// analytic estimateBandwidthBoundKernel() bound.  Off by default —
   /// results carry an estimate, not ground truth, and the journal
-  /// fingerprint must change with this flag (tools/tune.cpp appends it to
-  /// Extra).  The decision itself lives in core/Evaluation.cpp, which owns
-  /// the metrics.
+  /// fingerprint must change with this flag (requestHeader in
+  /// serve/Shard.cpp appends it to Extra).  The decision itself lives in
+  /// core/Evaluation.cpp, which owns the metrics.
   bool BandwidthFastPath = false;
 };
 

@@ -24,7 +24,7 @@
 ///    TraceSpan unconditionally; when no tracer is installed the
 ///    constructor is one relaxed atomic load and the destructor a branch.
 ///
-///  - **Thread-safe when on.**  Spans complete on whatever pool or
+///  - **Thread-safe when on.**  Spans complete on whatever measuring or
 ///    committer thread ran the stage; the tracer serializes record lines
 ///    under a mutex and tags each span with a small dense thread id.
 ///

@@ -1,16 +1,18 @@
-//===- tests/ParallelSweepTest.cpp - thread pool + parallel sweeps --------===//
+//===- tests/ParallelSweepTest.cpp - parallelFor + parallel sweeps -------===//
 //
 // Part of g80tune.  SPDX-License-Identifier: MIT
 //
 //===----------------------------------------------------------------------===//
 //
-// The parallel execution layer, bottom up: the work-stealing thread pool,
-// parallel static-metric evaluation, and the SweepDriver's parallel
-// in-process path.  The contract under test everywhere is *bit-identity*:
-// any job count must produce the same journal bytes, the same outcome
-// totals, and the same quarantine set as a serial run — including under
-// fault injection and across a mid-sweep interrupt + resume.  The
-// bandwidth fast path rides along since it shares the measure() hot path.
+// The parallel execution layer, bottom up: parallelFor, parallel
+// static-metric evaluation, and the SweepDriver's parallel in-process
+// path.  The contract under test everywhere is *bit-identity*: any job
+// count must produce the same journal bytes, the same outcome totals, and
+// the same quarantine set as a serial run — including under fault
+// injection and across a mid-sweep interrupt + resume.  A parallel sweep
+// must also journal while it measures, not in a burst at the round's end.
+// The bandwidth fast path rides along since it shares the measure() hot
+// path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,8 +22,10 @@
 #include "core/SweepDriver.h"
 #include "kernels/MatMul.h"
 #include "support/FaultInjection.h"
+#include "support/Json.h"
+#include "support/Parallel.h"
 #include "support/Subprocess.h"
-#include "support/ThreadPool.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -29,7 +33,9 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace g80;
@@ -50,77 +56,36 @@ std::string slurp(const std::string &Path) {
                      std::istreambuf_iterator<char>());
 }
 
-//===--- ThreadPool -----------------------------------------------------------//
+//===--- parallelFor ----------------------------------------------------------//
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool Pool(4);
-  EXPECT_EQ(Pool.size(), 4u);
-  std::atomic<int> Count{0};
-  for (int I = 0; I != 1000; ++I)
-    Pool.submit([&Count] { Count.fetch_add(1, std::memory_order_relaxed); });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitIsReusableAcrossRounds) {
-  ThreadPool Pool(2);
-  std::atomic<int> Count{0};
-  for (int Round = 0; Round != 5; ++Round) {
-    for (int I = 0; I != 50; ++I)
-      Pool.submit([&Count] { ++Count; });
-    Pool.wait();
-    EXPECT_EQ(Count.load(), (Round + 1) * 50);
-  }
-}
-
-TEST(ThreadPoolTest, WaitWithNothingSubmittedReturns) {
-  ThreadPool Pool(3);
-  Pool.wait(); // Must not deadlock.
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, SingleThreadPoolStillCompletes) {
-  ThreadPool Pool(1);
-  std::atomic<int> Count{0};
-  for (int I = 0; I != 100; ++I)
-    Pool.submit([&Count] { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 100);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
-  std::atomic<int> Count{0};
-  {
-    ThreadPool Pool(4);
-    for (int I = 0; I != 200; ++I)
-      Pool.submit([&Count] { ++Count; });
-    // No wait(): teardown must finish the queue, not drop it.
-  }
-  EXPECT_EQ(Count.load(), 200);
-}
-
-TEST(ThreadPoolTest, DefaultConcurrencyIsAtLeastOne) {
-  EXPECT_GE(ThreadPool::defaultConcurrency(), 1u);
-}
-
-TEST(ThreadPoolTest, ParallelForTouchesEveryIndexExactlyOnce) {
-  ThreadPool Pool(4);
+TEST(ParallelForTest, TouchesEveryIndexExactlyOnce) {
   const size_t N = 1337;
   std::vector<std::atomic<int>> Hits(N);
-  parallelFor(Pool, N, 7, [&Hits](size_t I) {
+  parallelFor(4, N, [&Hits](size_t I) {
     Hits[I].fetch_add(1, std::memory_order_relaxed);
   });
   for (size_t I = 0; I != N; ++I)
     EXPECT_EQ(Hits[I].load(), 1) << "index " << I;
 }
 
-TEST(ThreadPoolTest, ParallelForHandlesDegenerateShapes) {
-  ThreadPool Pool(2);
+TEST(ParallelForTest, HandlesDegenerateShapes) {
   std::atomic<int> Count{0};
-  parallelFor(Pool, 0, 8, [&Count](size_t) { ++Count; }); // empty range
+  parallelFor(2, 0, [&Count](size_t) { ++Count; }); // empty range
   EXPECT_EQ(Count.load(), 0);
-  parallelFor(Pool, 3, 100, [&Count](size_t) { ++Count; }); // grain > N
+  parallelFor(100, 3, [&Count](size_t) { ++Count; }); // Jobs > N
   EXPECT_EQ(Count.load(), 3);
+  // Jobs = 0 runs inline, in index order.
+  std::vector<size_t> Seen;
+  std::thread::id Caller = std::this_thread::get_id();
+  parallelFor(0, 5, [&](size_t I) {
+    EXPECT_EQ(std::this_thread::get_id(), Caller);
+    Seen.push_back(I);
+  });
+  EXPECT_EQ(Seen, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ParallelForTest, DefaultJobsIsAtLeastOne) {
+  EXPECT_GE(defaultJobs(), 1u);
 }
 
 //===--- Parallel static-metric evaluation -------------------------------------//
@@ -328,6 +293,71 @@ TEST(ParallelSweep, JobsWarnedAndIgnoredUnderIsolation) {
   SearchOutcome Want =
       SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
   expectEqualOutcomes(Rep.Outcome, Want);
+}
+
+TEST(ParallelSweep, JournalsWhileMeasuring) {
+  // Threads claim a round front to back, and the in-order committer
+  // journals each record once it and every earlier one are measured, so
+  // records reach the journal while the round is still being measured.
+  // How fast the journal drains is the disk's fdatasync latency, and how
+  // soon a claimed configuration runs is the scheduler's, so the checks
+  // read the trace for what the sweep controls: the first half of the
+  // simulations to start are mostly the plan's first half, and the
+  // committer begins journaling before half of them have ended.
+  MatMulApp App(MatMulProblem::bench());
+  SearchEngine Engine(App, gtx());
+  SweepPlan Plan = Engine.planExhaustive();
+  std::string TracePath = tmpPath("stream_trace");
+  clearSweepInterrupt();
+  SweepOptions Opts;
+  Opts.JournalPath = tmpPath("stream");
+  Opts.Fingerprint.App = "matmul";
+  Opts.Fingerprint.Machine = gtx().Name;
+  Opts.Fingerprint.Strategy = "exhaustive";
+  Opts.Fingerprint.RawSize = App.space().rawSize();
+  Opts.Jobs = 4;
+  {
+    Expected<Tracer> T = Tracer::toFile(TracePath);
+    ASSERT_TRUE(T.ok());
+    ScopedTracer Install(&*T);
+    SweepReport Rep = SweepDriver(Engine, Opts).run(Plan);
+    ASSERT_EQ(Rep.Status, SweepStatus::Completed);
+  }
+
+  std::map<uint64_t, size_t> PlanPos; // Flat index -> position in the plan.
+  for (size_t P = 0; P != Plan.Candidates.size(); ++P)
+    PlanPos[Plan.Evals[Plan.Candidates[P]].FlatIndex] = P;
+  std::vector<std::pair<uint64_t, size_t>> Starts; // (start, plan position)
+  std::vector<uint64_t> Ends, JournalStarts;
+  std::ifstream In(TracePath);
+  for (std::string Line; std::getline(In, Line);) {
+    std::string Name;
+    uint64_t Idx = 0, Start = 0, Dur = 0;
+    if (!jsonStringField(Line, "name", Name) ||
+        !jsonUintField(Line, "idx", Idx) ||
+        !jsonUintField(Line, "start_us", Start) ||
+        !jsonUintField(Line, "dur_us", Dur))
+      continue;
+    if (Name == "simulate") {
+      Starts.push_back({Start, PlanPos.at(Idx)});
+      Ends.push_back(Start + Dur);
+    } else if (Name == "journal") {
+      JournalStarts.push_back(Start);
+    }
+  }
+  ASSERT_EQ(PlanPos.size(), 96u);
+  ASSERT_EQ(Starts.size(), 96u);
+  ASSERT_EQ(JournalStarts.size(), 96u);
+
+  const size_t Half = 48;
+  std::sort(Starts.begin(), Starts.end());
+  size_t FrontFirst = size_t(std::count_if(
+      Starts.begin(), Starts.begin() + Half,
+      [&](const auto &S) { return S.second < Half; }));
+  EXPECT_GE(FrontFirst, 36u);
+  std::sort(Ends.begin(), Ends.end());
+  EXPECT_LE(*std::min_element(JournalStarts.begin(), JournalStarts.end()),
+            Ends[Half - 1]);
 }
 
 //===--- Shard clamping ---------------------------------------------------------//

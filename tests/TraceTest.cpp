@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // The observability layer, bottom up: the JSONL tracer (span nesting,
-// counter thread-safety under the pool, round-trip through
+// counter thread-safety under parallelFor, round-trip through
 // readTraceSummary), the EvalRecord wire-format extensions (sim counters
 // and occupancy through JSON and CSV, old-journal compatibility), the
 // report aggregation (quarantine breakdown, attribution, top-N slowest),
@@ -23,7 +23,7 @@
 #include "support/Csv.h"
 #include "support/FaultInjection.h"
 #include "support/Journal.h"
-#include "support/ThreadPool.h"
+#include "support/Parallel.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -126,13 +126,10 @@ TEST(TracerTest, CountersAreThreadSafeUnderThePool) {
     Expected<Tracer> T = Tracer::toFile(Path);
     ASSERT_TRUE(T.ok());
     ScopedTracer Install(&*T);
-    ThreadPool Pool(8);
-    for (int I = 0; I != Tasks; ++I)
-      Pool.submit([] {
-        TraceSpan S("task");
-        traceCount("test.tasks");
-      });
-    Pool.wait();
+    parallelFor(8, Tasks, [](size_t) {
+      TraceSpan S("task");
+      traceCount("test.tasks");
+    });
     EXPECT_EQ(T->counterValue("test.tasks"), uint64_t(Tasks));
     EXPECT_EQ(T->spanCount(), uint64_t(Tasks));
   }

@@ -13,7 +13,6 @@
 //                             greedy|anneal|genetic] [--space small|large]
 //                            [--machine gtx|nextgen] [--budget N] [--seed N]
 //                            [--inject SPEC] [--jobs N] [--fast-bw] [--lint]
-//                            [--sim-engine event|scan]
 //                            [--journal FILE [--resume]] [--isolate]
 //                            [--task-timeout S] [--shard N] [--out FILE.csv]
 //                            [--trace FILE.jsonl] [--progress]
@@ -33,10 +32,6 @@
 //       evaluation: configurations with error-severity findings are
 //       quarantined under Stage::Lint.  A clean space journals
 //       byte-identically with or without the gate.
-//       --sim-engine picks the simulator scheduler core (default: event,
-//       the fast one; scan is the reference).  The engines are
-//       bit-identical — journals do not depend on the choice, so it stays
-//       out of the resume fingerprint.
 //       --journal streams every completed evaluation through a crash-safe
 //       write-ahead journal; --resume replays a matching journal and
 //       skips finished configurations.  --isolate forks a worker per
@@ -118,9 +113,9 @@
 #include "support/FaultInjection.h"
 #include "support/Format.h"
 #include "support/Numeric.h"
+#include "support/Parallel.h"
 #include "support/Status.h"
 #include "support/TextTable.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -163,8 +158,7 @@ int usage() {
          "               greedy|anneal|genetic] [--space small|large]\n"
          "               [--machine gtx|nextgen] [--budget N] [--seed N] "
          "[--inject SPEC]\n"
-         "               [--jobs N] [--fast-bw] [--lint] "
-         "[--sim-engine event|scan]\n"
+         "               [--jobs N] [--fast-bw] [--lint]\n"
          "               [--journal FILE [--resume]] [--isolate] "
          "[--task-timeout S] [--shard N]\n"
          "               [--out FILE.csv] [--trace FILE.jsonl] [--progress]\n"
@@ -206,7 +200,7 @@ struct Subcommand {
 constexpr Subcommand Subcommands[] = {
     {"list", "", ""},
     {"search",
-     "app strategy space machine budget seed inject jobs sim-engine journal "
+     "app strategy space machine budget seed inject jobs journal "
      "task-timeout shard out trace",
      "fast-bw lint resume isolate progress"},
     {"report", "trace top format", "", true},
@@ -410,24 +404,8 @@ int cmdSearch(FlagMap Flags) {
     std::cerr << "error: " << Faults.diag().Message << "\n";
     return usage();
   }
-  SimOptions SimO;
-  // Engine selection changes how the schedule is computed, never the
-  // results (the engines are bit-identical), so it deliberately stays out
-  // of the journal fingerprint: a scan-engine journal resumes under the
-  // event engine and vice versa.
-  if (Flags.count("sim-engine")) {
-    const std::string &E = Flags["sim-engine"];
-    if (E == "scan")
-      SimO.EngineSel = SimOptions::Engine::Scan;
-    else if (E == "event")
-      SimO.EngineSel = SimOptions::Engine::Event;
-    else {
-      std::cerr << "error: --sim-engine must be 'event' or 'scan'\n";
-      return usage();
-    }
-  }
   std::unique_ptr<SearchEngine> Engine =
-      makeServeEngine(*App, Req, Faults.takeValue(), SimO);
+      makeServeEngine(*App, Req, Faults.takeValue());
 
   SweepOptions SOpts;
   if (Flags.count("journal"))
@@ -452,7 +430,7 @@ int cmdSearch(FlagMap Flags) {
   // Worker threads for planning, metric evaluation and in-process
   // measurement.  Isolation serializes shards through forked processes,
   // so an unspecified --jobs defaults to 1 there instead of warning.
-  uint64_t Jobs = ThreadPool::defaultConcurrency();
+  uint64_t Jobs = defaultJobs();
   if (!numFlag(Flags, "jobs", Jobs))
     return usage();
   if (Flags.count("jobs")) {
