@@ -7,6 +7,7 @@
 #include "core/SweepDriver.h"
 
 #include "core/EvalRecord.h"
+#include "support/Backoff.h"
 #include "support/Parallel.h"
 #include "support/Subprocess.h"
 #include "support/Trace.h"
@@ -77,6 +78,13 @@ namespace {
 /// quarantined: the original try plus one retry.
 constexpr unsigned MaxWorkerAttempts = 2;
 
+/// Candidates per forked worker.
+constexpr size_t ShardSize = 8;
+
+/// Pacing before a retry: exponential with deterministic jitter, salted
+/// by the configuration's flat index (see support/Backoff.h).
+constexpr BackoffPolicy RetryBackoff{};
+
 Diagnostic sweepError(std::string Msg) {
   return makeDiag(ErrorCode::JournalError, Stage::Parse, std::move(Msg));
 }
@@ -108,8 +116,6 @@ struct DriveState {
   std::unordered_map<uint64_t, unsigned> Attempts;
   /// Records committed by this run (excludes resume replay).
   size_t FreshRecords = 0;
-  /// Configurations per forked worker, validated once per sweep.
-  size_t ShardSize = 1;
 
   DriveState(const SearchEngine &Engine, const SweepOptions &Opts,
              uint64_t Budget)
@@ -291,7 +297,7 @@ bool runIsolated(DriveState &D, std::deque<size_t> &Todo) {
     // worker, after a backoff, so a subsequent failure is unambiguously
     // its own fault.
     bool IsRetry = D.Attempts[D.out().Evals[Todo.front()].FlatIndex] > 0;
-    size_t N = IsRetry ? 1 : std::min(D.ShardSize, Todo.size());
+    size_t N = IsRetry ? 1 : std::min(ShardSize, Todo.size());
     if (!IsRetry) {
       // Never mix a to-be-retried config into a fresh shard mid-queue.
       for (size_t I = 1; I < N; ++I)
@@ -308,7 +314,7 @@ bool runIsolated(DriveState &D, std::deque<size_t> &Todo) {
     if (IsRetry) {
       uint64_t Flat = D.out().Evals[Shard[0]].FlatIndex;
       if (!sleepUnlessStopped(
-              D, D.Opts.RetryBackoff.delaySeconds(D.Attempts[Flat], Flat)))
+              D, RetryBackoff.delaySeconds(D.Attempts[Flat], Flat)))
         return false;
     }
 
@@ -477,26 +483,6 @@ bool runInProcessParallel(DriveState &D, std::deque<size_t> &Todo,
   return !Cancel.load(std::memory_order_relaxed);
 }
 
-/// Validates the shard size once per sweep, against the work the budget
-/// leaves after the journaled records: a shard larger than that would
-/// just put everything into one worker, which is rarely what the caller
-/// meant, so cap it and say so instead of silently obliging.
-size_t validShardSize(DriveState &D, uint64_t Remaining) {
-  size_t ShardSize = D.Opts.ShardSize;
-  if (ShardSize == 0) {
-    D.warn("--shard 0 is invalid; using 1");
-    ShardSize = 1;
-  }
-  if (Remaining != 0 && ShardSize > Remaining) {
-    D.warn("--shard " + std::to_string(ShardSize) + " exceeds the " +
-           std::to_string(Remaining) +
-           " remaining candidates; capping the shard size at the "
-           "candidate count");
-    ShardSize = size_t(Remaining);
-  }
-  return ShardSize;
-}
-
 /// A plan as a cursor: one round proposing every candidate in plan order.
 class PlanCursor final : public SearchCursor {
 public:
@@ -590,8 +576,6 @@ SweepReport SweepDriver::drive(SearchOutcome Seed, SearchCursor &Cursor,
     if (Jobs > 1)
       D.warn("--jobs is ignored with --isolate (isolation workers are "
              "processes, one shard at a time)");
-    D.ShardSize =
-        validShardSize(D, Budget - std::min<uint64_t>(Budget, Replay.size()));
   } else if (Opts.Isolate) {
     D.Rep.DegradedInProcess = true;
     D.warn("process isolation is unavailable on this platform; "

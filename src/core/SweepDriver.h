@@ -43,7 +43,6 @@
 #define G80TUNE_CORE_SWEEPDRIVER_H
 
 #include "core/Search.h"
-#include "support/Backoff.h"
 #include "support/Journal.h"
 
 #include <functional>
@@ -97,11 +96,6 @@ struct SweepOptions {
   bool Isolate = false;
   /// Wall-clock budget per in-flight configuration in a worker.
   double TaskTimeoutSeconds = 30.0;
-  /// Candidates per forked worker.
-  size_t ShardSize = 8;
-  /// Pacing between attempts: exponential with deterministic jitter,
-  /// salted by the configuration's flat index (see support/Backoff.h).
-  BackoffPolicy RetryBackoff;
   /// Fingerprint written to (and checked against) the journal header.
   JournalHeader Fingerprint;
   /// Worker threads for static evaluation and the in-process measurement

@@ -28,6 +28,10 @@ using namespace g80;
 
 namespace {
 
+/// Straggler threshold: hedge an in-flight shard once it exceeds this
+/// percentile of completed-shard durations (needs >= 3 completions).
+constexpr double HedgePercentile = 0.95;
+
 /// Floor under the hedge threshold, so tiny shards don't hedge wildly.
 constexpr double HedgeMinSeconds = 1.0;
 
@@ -454,8 +458,8 @@ struct FleetCoordinator::Impl {
   }
 
   /// Hedging + heartbeat + progress: probes every worker each heartbeat
-  /// period on a fresh connection, duplicates stragglers past the
-  /// configured percentile, and streams progress.
+  /// period on a fresh connection, duplicates stragglers past
+  /// HedgePercentile, and streams progress.
   void monitorLoop() {
     FleetProgress Last;
     bool Emitted = false;
@@ -479,9 +483,8 @@ struct FleetCoordinator::Impl {
         if (Durations.size() >= 3 && Pool.size() + (Opts.AllowLocal ? 1 : 0) > 1) {
           std::vector<double> Sorted(Durations);
           std::sort(Sorted.begin(), Sorted.end());
-          size_t Idx = size_t(Opts.HedgePercentile *
-                                  double(Sorted.size() - 1) +
-                              0.5);
+          size_t Idx =
+              size_t(HedgePercentile * double(Sorted.size() - 1) + 0.5);
           double Threshold = std::max(HedgeMinSeconds,
                                       Sorted[std::min(Idx, Sorted.size() - 1)]);
           for (uint64_t I = 0; I != Shards.size(); ++I) {

@@ -18,8 +18,8 @@
 ///    re-queued and its runner reconnects with capped exponential
 ///    backoff (support/Backoff.h); idle runners heartbeat with status
 ///    probes so silent death is noticed within a heartbeat period;
-///  - stragglers past a configurable percentile of completed-shard
-///    durations are hedged onto a second worker;
+///  - stragglers past the 95th percentile of completed-shard durations
+///    are hedged onto a second worker;
 ///  - when every remote worker is unhealthy the coordinator degrades to
 ///    executing shards in-process rather than stalling;
 ///  - the coordinator keeps its own crash-safe spool (a plan manifest
@@ -101,9 +101,6 @@ struct FleetOptions {
   double ShardTimeoutSeconds = 600;
   /// Idle-worker status-probe period.
   double HeartbeatSeconds = 2;
-  /// Straggler threshold: hedge an in-flight shard once it exceeds this
-  /// percentile of completed-shard durations (needs >= 3 completions).
-  double HedgePercentile = 0.95;
   /// Degrade to coordinator-local in-process execution when no remote
   /// worker is healthy.
   bool AllowLocal = true;

@@ -46,9 +46,9 @@ TuneServer::~TuneServer() {
   for (std::thread &T : Executors)
     if (T.joinable())
       T.join();
-  for (std::thread &T : Sessions)
-    if (T.joinable())
-      T.join();
+  for (Session &S : Sessions)
+    if (S.Thread.joinable())
+      S.Thread.join();
 }
 
 Expected<Unit> TuneServer::start() {
@@ -100,6 +100,13 @@ Expected<Unit> TuneServer::start() {
 ServeExit TuneServer::serve() {
   while (!Draining.load(std::memory_order_acquire) &&
          !sweepInterruptRequested()) {
+    // Sessions whose clients hung up are joined within an accept slice.
+    std::erase_if(Sessions, [](Session &S) {
+      if (!S.Done.load(std::memory_order_acquire))
+        return false;
+      S.Thread.join();
+      return true;
+    });
     Expected<Socket> Conn = Listener.acceptFor(0.1);
     if (!Conn)
       break; // Hard accept error: drain what was admitted and exit.
@@ -107,8 +114,11 @@ ServeExit TuneServer::serve() {
       continue; // Timeout slice; re-check the shutdown conditions.
     TraceSpan Span("serve.accept");
     traceCount("serve.connections");
-    Sessions.emplace_back(&TuneServer::sessionLoop, this,
-                          std::move(*Conn));
+    Session &S = Sessions.emplace_back();
+    S.Thread = std::thread([this, &S, C = std::move(*Conn)]() mutable {
+      sessionLoop(std::move(C));
+      S.Done.store(true, std::memory_order_release);
+    });
   }
 
   // Drain: stop admitting (listener down, queue closed), let executors
@@ -120,8 +130,8 @@ ServeExit TuneServer::serve() {
   for (std::thread &T : Executors)
     T.join();
   Executors.clear();
-  for (std::thread &T : Sessions)
-    T.join();
+  for (Session &S : Sessions)
+    S.Thread.join();
   Sessions.clear();
   return sweepForceQuitRequested() ? ServeExit::Forced : ServeExit::Drained;
 }
@@ -212,9 +222,7 @@ void TuneServer::runJob(const std::shared_ptr<ServeJob> &Job) {
   TraceSpan Span("serve.execute");
   const TuneRequest &Req = Job->Req;
 
-  double Deadline = Req.DeadlineSeconds > 0 ? Req.DeadlineSeconds
-                                            : Opts.DefaultDeadlineSeconds;
-  auto Expired = [Job, Deadline] {
+  auto Expired = [Job, Deadline = Req.DeadlineSeconds] {
     return Deadline > 0 &&
            std::chrono::steady_clock::now() - Job->AdmittedAt >
                std::chrono::duration<double>(Deadline);
@@ -247,16 +255,14 @@ void TuneServer::runJob(const std::shared_ptr<ServeJob> &Job) {
   SOpts.JournalPath = Requests.journalPath(Job->Id);
   SOpts.Resume = std::filesystem::exists(SOpts.JournalPath);
   SOpts.Jobs = Opts.Jobs;
-  SOpts.Isolate = Opts.Isolate;
   SOpts.OnProgress = [Job](const SweepProgress &P) {
     Job->Done.store(P.Done, std::memory_order_relaxed);
     Job->Total.store(P.Total, std::memory_order_relaxed);
     Job->Quarantined.store(P.Quarantined, std::memory_order_relaxed);
   };
-  // Deadlines and force-quit cancel at record boundaries (and kill
-  // in-flight isolated shards); a plain graceful drain reaches the
-  // driver through the global interrupt flag instead, checkpointing the
-  // sweep resumably.
+  // Deadlines and force-quit cancel at record boundaries; a plain
+  // graceful drain reaches the driver through the global interrupt flag
+  // instead, checkpointing the sweep resumably.
   SOpts.ShouldStop = [&Expired] {
     return Expired() || sweepForceQuitRequested();
   };

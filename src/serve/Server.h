@@ -9,7 +9,8 @@
 /// TuneServer owns:
 ///
 ///  - a listener (Unix-domain or loopback TCP, support/Socket.h) and one
-///    short-lived session thread per connection;
+///    short-lived session thread per connection, released when its
+///    client hangs up;
 ///  - a bounded admission queue (RequestQueue.h) — full queue means the
 ///    session answers "overloaded" instead of queueing unboundedly;
 ///  - a pool of executor threads, each draining the queue through the
@@ -26,10 +27,10 @@
 ///  - the first SIGINT/SIGTERM stops admitting and *checkpoints* running
 ///    jobs at their next record boundary (journals flushed, no results
 ///    written; they recover on restart), then exits Drained;
-///  - a second signal is a force-quit: in-flight isolated workers are
-///    killed mid-shard and the daemon exits ServeExit::Forced as fast as
-///    the record in flight allows.  SIGKILL needs no handling at all —
-///    that is what the spool protocol is for.
+///  - a second signal is a force-quit: sessions hang up without waiting
+///    for their jobs' terminal frames and the daemon exits
+///    ServeExit::Forced as fast as the record in flight allows.  SIGKILL
+///    needs no handling at all — that is what the spool protocol is for.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +46,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -72,10 +74,6 @@ struct ServeOptions {
   unsigned Executors = 2;
   /// In-process measurement threads per sweep (SweepOptions::Jobs).
   unsigned Jobs = 1;
-  /// Fork-isolate each sweep's measurement shards.
-  bool Isolate = false;
-  /// Deadline applied to requests that do not carry their own; 0 = none.
-  double DefaultDeadlineSeconds = 0;
 };
 
 /// How serve() ended.
@@ -157,7 +155,13 @@ private:
   Spool Requests;
   RequestQueue<std::shared_ptr<ServeJob>> Queue;
   std::vector<std::thread> Executors;
-  std::vector<std::thread> Sessions;
+  /// One connection's thread.  Done is its last act, so the accept loop
+  /// can join a finished session and release its stack before drain.
+  struct Session {
+    std::thread Thread;
+    std::atomic<bool> Done{false};
+  };
+  std::list<Session> Sessions; ///< Nodes stay put: threads hold &Done.
   std::chrono::steady_clock::time_point StartedAt;
 
   std::atomic<bool> Draining{false};

@@ -54,7 +54,7 @@ class Kernel;
 struct SimOptions {
   /// Scheduler-core selection.  Both engines execute the same trace with
   /// the same round-robin issue order and produce bit-identical SimResults
-  /// (asserted by tests/SimEngineTest.cpp and bench/sweep_perf); they
+  /// (asserted by tests/SimEngineTest.cpp and bench/sim_engine_perf); they
   /// differ only in how the next issueable warp is found.
   enum class Engine : uint8_t {
     /// Event-driven core (default): dense SoA warp state, a ready bitmask

@@ -450,7 +450,6 @@ TEST(SweepDriverTest, IsolatedOutcomeEqualsInMemory) {
 
   SweepOptions Opts;
   Opts.Isolate = true;
-  Opts.ShardSize = 7; // deliberately not a divisor of 100
   SweepReport Rep = SweepDriver(Engine, Opts).run(Engine.planExhaustive());
   ASSERT_EQ(Rep.Status, SweepStatus::Completed);
   EXPECT_EQ(Rep.WorkerRetries, 0u);
@@ -506,9 +505,7 @@ TEST(SweepDriverTest, IsolatedCrashAndHangQuarantineOnlyVictims) {
 
   SweepOptions Opts;
   Opts.Isolate = true;
-  Opts.ShardSize = 8;
   Opts.TaskTimeoutSeconds = 0.25;
-  Opts.RetryBackoff.InitialSeconds = 0.01;
   Opts.JournalPath = tmpPath("crashhang");
   Opts.Fingerprint = toyFp(toy100(), "crash@7,hang@13");
   SweepReport Rep = SweepDriver(Engine, Opts).run(Engine.planExhaustive());

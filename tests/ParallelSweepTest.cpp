@@ -360,47 +360,6 @@ TEST(ParallelSweep, JournalsWhileMeasuring) {
             Ends[Half - 1]);
 }
 
-//===--- Shard clamping ---------------------------------------------------------//
-
-TEST(ShardClamping, OversubscribedShardIsCappedWithWarning) {
-  if (!subprocessSupported())
-    GTEST_SKIP() << "no fork on this platform";
-  clearSweepInterrupt();
-  SearchEngine Engine(toy100(), gtx());
-  SweepOptions Opts;
-  Opts.Isolate = true;
-  Opts.ShardSize = 1000; // far more than the 100 candidates
-  SweepReport Rep = SweepDriver(Engine, Opts).run(Engine.planExhaustive());
-  ASSERT_EQ(Rep.Status, SweepStatus::Completed);
-  bool Warned = false;
-  for (const std::string &W : Rep.Warnings)
-    Warned |= W.find("capping the shard size") != std::string::npos;
-  EXPECT_TRUE(Warned);
-  SearchOutcome Want =
-      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
-  expectEqualOutcomes(Rep.Outcome, Want);
-}
-
-TEST(ShardClamping, ZeroShardBecomesOneWithWarning) {
-  if (!subprocessSupported())
-    GTEST_SKIP() << "no fork on this platform";
-  clearSweepInterrupt();
-  ToyApp Tiny(2); // 10 configs: one-config shards stay fast
-  SearchEngine Engine(Tiny, gtx());
-  SweepOptions Opts;
-  Opts.Isolate = true;
-  Opts.ShardSize = 0;
-  SweepReport Rep = SweepDriver(Engine, Opts).run(Engine.planExhaustive());
-  ASSERT_EQ(Rep.Status, SweepStatus::Completed);
-  bool Warned = false;
-  for (const std::string &W : Rep.Warnings)
-    Warned |= W.find("--shard 0 is invalid") != std::string::npos;
-  EXPECT_TRUE(Warned);
-  SearchOutcome Want =
-      SweepDriver(Engine, {}).run(Engine.planExhaustive()).Outcome;
-  expectEqualOutcomes(Rep.Outcome, Want);
-}
-
 //===--- Bandwidth fast path ----------------------------------------------------//
 
 TEST(BandwidthFastPath, EstimateAgreesLooselyWithSimulation) {

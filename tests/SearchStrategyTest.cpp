@@ -510,7 +510,7 @@ TEST(AdaptiveIsolation, JournalBytesMatchInProcessRun) {
   SweepOptions Opts;
   Opts.JournalPath = Isolated;
   Opts.Fingerprint = adaptiveHeader(App, StrategyKind::Greedy, SO);
-  Opts.Isolate = true; // Default shard size 8, budget 10: no clamping.
+  Opts.Isolate = true;
   SweepReport Rep = runAdaptiveSweep(Eng, StrategyKind::Greedy, SO, Opts);
   ASSERT_EQ(Rep.Status, SweepStatus::Completed);
   EXPECT_TRUE(Rep.Warnings.empty()) << Rep.Warnings.front();
@@ -540,7 +540,6 @@ TEST(AdaptiveIsolation, CrashedProbeIsRetriedThenQuarantined) {
 
   SweepOptions Opts;
   Opts.Isolate = true;
-  Opts.RetryBackoff.InitialSeconds = 0.01;
   SweepReport Rep = runAdaptiveSweep(Eng, StrategyKind::Greedy, SO, Opts);
   ASSERT_EQ(Rep.Status, SweepStatus::Completed);
   EXPECT_EQ(Rep.WorkerRetries, 1u);

@@ -819,6 +819,48 @@ TEST(ServeEndToEndTest, EngineRegistrySharesAcrossRequests) {
   T.join();
 }
 
+/// Lines in /proc/self/maps, one per mapping; -1 where the file is absent.
+long mappingCount() {
+  std::ifstream In("/proc/self/maps");
+  if (!In)
+    return -1;
+  long N = 0;
+  for (std::string Line; std::getline(In, Line);)
+    ++N;
+  return N;
+}
+
+TEST(ServeEndToEndTest, FinishedSessionsAreReleased) {
+  if (!socketsSupported())
+    GTEST_SKIP() << "no sockets on this platform";
+  if (mappingCount() < 0)
+    GTEST_SKIP() << "no /proc/self/maps on this platform";
+  ServeOptions SO;
+  SO.SpoolDir = tmpDir("sessions");
+  SO.TcpPort = 0;
+  SO.Executors = 1;
+  TuneServer Server(SO);
+  ASSERT_TRUE(Server.start().ok());
+  std::thread T([&] { Server.serve(); });
+
+  // The fleet monitor's probe pattern: a fresh connection per status
+  // round trip.  A session whose client has hung up must not keep its
+  // thread stack mapped until the daemon drains.
+  long Before = mappingCount();
+  for (unsigned I = 0; I != 200; ++I) {
+    Expected<ServeClient> Client = ServeClient::connect("", Server.port());
+    ASSERT_TRUE(Client.ok()) << Client.diag().Message;
+    ASSERT_TRUE(Client->status(10).ok());
+  }
+  EXPECT_TRUE(waitFor(10, [&] { return mappingCount() - Before < 64; }))
+      << mappingCount() - Before << " more mappings after 200 sessions";
+
+  Expected<ServeClient> Client = ServeClient::connect("", Server.port());
+  ASSERT_TRUE(Client.ok());
+  ASSERT_TRUE(Client->shutdown(10).ok());
+  T.join();
+}
+
 //===--- Oversized frames, both directions ------------------------------------//
 
 /// Raw loopback TCP connect: the only way to emit a frame prefix the

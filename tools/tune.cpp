@@ -14,7 +14,7 @@
 //                            [--machine gtx|nextgen] [--budget N] [--seed N]
 //                            [--inject SPEC] [--jobs N] [--fast-bw] [--lint]
 //                            [--journal FILE [--resume]] [--isolate]
-//                            [--task-timeout S] [--shard N] [--out FILE.csv]
+//                            [--task-timeout S] [--out FILE.csv]
 //                            [--trace FILE.jsonl] [--progress]
 //       Run a search strategy and print the outcome (Table-4 style)
 //       through serve/Shard.h's runRequest, the daemon's and the fleet's
@@ -160,7 +160,7 @@ int usage() {
          "[--inject SPEC]\n"
          "               [--jobs N] [--fast-bw] [--lint]\n"
          "               [--journal FILE [--resume]] [--isolate] "
-         "[--task-timeout S] [--shard N]\n"
+         "[--task-timeout S]\n"
          "               [--out FILE.csv] [--trace FILE.jsonl] [--progress]\n"
          "  tune report  <journal-or-csv> [--trace FILE.jsonl] [--top N] "
          "[--format text|json]\n"
@@ -172,8 +172,8 @@ int usage() {
          "  tune inspect --file <kernel.ptx> --block X[,Y] --grid X[,Y]\n"
          "               [--machine gtx|nextgen]\n"
          "  tune serve   --spool DIR [--socket PATH | --tcp-port N]\n"
-         "               [--queue-limit N] [--executors N] [--jobs N]\n"
-         "               [--isolate] [--deadline S] [--trace FILE.jsonl]\n"
+         "               [--queue-limit N] [--executors N] [--jobs N] "
+         "[--trace FILE.jsonl]\n"
          "  tune fleet   --app <name> --spool DIR --journal FILE\n"
          "               [--workers ep1,ep2,...] [--machine gtx|nextgen]\n"
          "               [--strategy pareto|exhaustive|cluster|random]\n"
@@ -181,9 +181,8 @@ int usage() {
          "[--fast-bw] [--lint]\n"
          "               [--shard-size N] [--shard-timeout S] "
          "[--heartbeat S]\n"
-         "               [--hedge-pct P] [--jobs N] [--no-local] "
-         "[--progress]\n"
-         "               [--trace FILE.jsonl]\n";
+         "               [--jobs N] [--no-local] [--progress] "
+         "[--trace FILE.jsonl]\n";
   return ExitUsage;
 }
 
@@ -201,17 +200,16 @@ constexpr Subcommand Subcommands[] = {
     {"list", "", ""},
     {"search",
      "app strategy space machine budget seed inject jobs journal "
-     "task-timeout shard out trace",
+     "task-timeout out trace",
      "fast-bw lint resume isolate progress"},
     {"report", "trace top format", "", true},
     {"lint", "app config format", "", true},
     {"show", "app config machine", ""},
     {"inspect", "file block grid machine", ""},
-    {"serve", "spool socket tcp-port queue-limit executors jobs deadline trace",
-     "isolate"},
+    {"serve", "spool socket tcp-port queue-limit executors jobs trace", ""},
     {"fleet",
      "app spool journal workers machine strategy space seed budget "
-     "shard-size shard-timeout heartbeat hedge-pct jobs trace",
+     "shard-size shard-timeout heartbeat jobs trace",
      "fast-bw lint no-local progress"},
 };
 
@@ -418,14 +416,6 @@ int cmdSearch(FlagMap Flags) {
     std::cerr << "error: --task-timeout must be positive\n";
     return usage();
   }
-  uint64_t Shard = SOpts.ShardSize;
-  if (!numFlag(Flags, "shard", Shard))
-    return usage();
-  if (Shard < 1) {
-    std::cerr << "error: --shard must be a positive integer\n";
-    return usage();
-  }
-  SOpts.ShardSize = size_t(Shard);
 
   // Worker threads for planning, metric evaluation and in-process
   // measurement.  Isolation serializes shards through forked processes,
@@ -554,8 +544,7 @@ int cmdServe(FlagMap Flags) {
   if (!numFlag(Flags, "tcp-port", Port) ||
       !numFlag(Flags, "queue-limit", QueueLimit) ||
       !numFlag(Flags, "executors", Executors) ||
-      !numFlag(Flags, "jobs", Jobs) ||
-      !numFlag(Flags, "deadline", SO.DefaultDeadlineSeconds))
+      !numFlag(Flags, "jobs", Jobs))
     return usage();
   if (Port > 65535) {
     std::cerr << "error: --tcp-port must be below 65536\n";
@@ -570,11 +559,6 @@ int cmdServe(FlagMap Flags) {
   SO.QueueLimit = size_t(QueueLimit);
   SO.Executors = unsigned(Executors);
   SO.Jobs = unsigned(Jobs);
-  SO.Isolate = Flags.count("isolate") != 0;
-  if (SO.DefaultDeadlineSeconds < 0) {
-    std::cerr << "error: --deadline must be non-negative\n";
-    return usage();
-  }
 
   std::optional<Tracer> Trace;
   if (!traceFlag(Flags, Trace))
@@ -638,8 +622,7 @@ int cmdFleet(FlagMap Flags) {
   if (!numFlag(Flags, "shard-size", FO.ShardSize) ||
       !numFlag(Flags, "jobs", Jobs) ||
       !numFlag(Flags, "shard-timeout", FO.ShardTimeoutSeconds) ||
-      !numFlag(Flags, "heartbeat", FO.HeartbeatSeconds) ||
-      !numFlag(Flags, "hedge-pct", FO.HedgePercentile))
+      !numFlag(Flags, "heartbeat", FO.HeartbeatSeconds))
     return usage();
   if (FO.ShardSize < 1 || Jobs < 1) {
     std::cerr << "error: --shard-size/--jobs must be positive\n";
@@ -647,10 +630,6 @@ int cmdFleet(FlagMap Flags) {
   }
   if (FO.ShardTimeoutSeconds <= 0 || FO.HeartbeatSeconds <= 0) {
     std::cerr << "error: --shard-timeout/--heartbeat must be positive\n";
-    return usage();
-  }
-  if (FO.HedgePercentile < 0 || FO.HedgePercentile > 1) {
-    std::cerr << "error: --hedge-pct must be in [0, 1]\n";
     return usage();
   }
   FO.Jobs = unsigned(Jobs);
