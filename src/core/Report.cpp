@@ -268,8 +268,9 @@ void g80::renderReportText(const SweepSummary &S, const TraceSummary *Trace,
     TextTable T;
     T.setHeader({"stage", "count", "total", "mean", "share"});
     for (const TraceStageStat &St : Trace->Stages) {
-      size_t Bar =
-          MaxTotal == 0 ? 0 : size_t(30.0 * double(St.TotalUs) / double(MaxTotal));
+      size_t Bar = MaxTotal == 0 ? 0
+                                 : size_t(30.0 * double(St.TotalUs) /
+                                          double(MaxTotal));
       T.addRow({St.Name, std::to_string(St.Count),
                 fmtDouble(double(St.TotalUs) / 1e3, 1) + " ms",
                 fmtDouble(St.meanUs(), 1) + " us", std::string(Bar, '#')});

@@ -51,7 +51,9 @@ struct TraceStageStat {
   uint64_t MinUs = ~uint64_t(0);
   uint64_t MaxUs = 0;
 
-  double meanUs() const { return Count == 0 ? 0 : double(TotalUs) / double(Count); }
+  double meanUs() const {
+    return Count == 0 ? 0 : double(TotalUs) / double(Count);
+  }
 };
 
 /// Aggregated --trace JSONL: per-stage wall-time stats plus the counter

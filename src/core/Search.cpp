@@ -84,14 +84,13 @@ SweepPlan SearchEngine::planPareto(const ParetoOptions &Opts,
   return Plan;
 }
 
-SweepPlan SearchEngine::planClustered(const ParetoOptions &Opts,
-                                      double RelTol, unsigned Jobs) const {
+SweepPlan SearchEngine::planClustered(unsigned Jobs) const {
   SweepPlan Plan;
   Plan.Strategy = "pareto+cluster";
   Plan.Evals = planStatics(Jobs);
-  std::vector<size_t> Subset = paretoSubset(Plan.Evals, Opts);
+  std::vector<size_t> Subset = paretoSubset(Plan.Evals);
   std::vector<std::vector<size_t>> Clusters =
-      clusterByMetrics(Plan.Evals, Subset, RelTol);
+      clusterByMetrics(Plan.Evals, Subset);
   // One representative per cluster; the smallest index keeps the choice
   // deterministic ("randomly select a single configuration" in the paper
   // — any member works, that is the point of the cluster).

@@ -139,8 +139,8 @@ public:
   SweepPlan planExhaustive(unsigned Jobs = 1) const;
   SweepPlan planPareto(const ParetoOptions &Opts = {},
                        unsigned Jobs = 1) const;
-  SweepPlan planClustered(const ParetoOptions &Opts = {},
-                          double RelTol = 1e-3, unsigned Jobs = 1) const;
+  /// One representative per metric cluster of the default Pareto subset.
+  SweepPlan planClustered(unsigned Jobs = 1) const;
   SweepPlan planRandom(size_t K, uint64_t Seed, unsigned Jobs = 1) const;
 
   const Evaluator &evaluator() const { return Eval; }

@@ -92,7 +92,7 @@ SweepPlan g80::planForStrategy(const SearchEngine &Engine, StrategyKind Kind,
   case StrategyKind::Pareto:
     return Engine.planPareto({}, Opts.Jobs);
   case StrategyKind::Cluster:
-    return Engine.planClustered({}, 1e-3, Opts.Jobs);
+    return Engine.planClustered(Opts.Jobs);
   case StrategyKind::Random:
     return Engine.planRandom(size_t(Opts.Budget), Opts.Seed, Opts.Jobs);
   case StrategyKind::Greedy:

@@ -143,6 +143,7 @@ struct DriveState {
     if (!R) {
       warn("journal write failed (" + R.diag().Message +
            "); continuing without durability");
+      Rep.JournalFailed = true;
       Writer.close();
     } else {
       traceCount("sweep.journal_records");
@@ -417,15 +418,15 @@ bool runInProcess(DriveState &D, std::deque<size_t> &Todo) {
   return true;
 }
 
-/// The parallel in-process path.  This thread runs parallelFor over the
-/// round, whose threads claim it front to back and measure into their own
-/// (disjoint) Evals slots; one committer thread folds each result into the
-/// outcome and the journal as soon as it and every earlier one are done.
-/// Commit order is what the journal format, noteMeasured's first-wins
-/// tie-breaking, and the floating-point accumulation of
-/// TotalMeasuredSeconds all depend on, so pinning it makes the sweep's
-/// journal and SearchOutcome bit-identical to a serial run's regardless of
-/// job count or scheduling.
+/// The round-order committer of both multi-threaded measuring steps:
+/// \p Measure fills the round's slots (Slots[I] is the I-th Todo entry)
+/// from any thread and calls Done(I) as each is final, and one committer
+/// thread folds each result into the outcome and the journal as soon as it
+/// and every earlier one are done.  Commit order is what the journal
+/// format, noteMeasured's first-wins tie-breaking, and the floating-point
+/// accumulation of TotalMeasuredSeconds all depend on, so pinning it makes
+/// the sweep's journal and SearchOutcome bit-identical to a serial run's
+/// regardless of who measures, in what order.
 ///
 /// The caller measures, rather than commits, so measurement reuses the
 /// heap that static evaluation (also a parallelFor on the caller) left
@@ -435,20 +436,21 @@ bool runInProcess(DriveState &D, std::deque<size_t> &Todo) {
 /// On interrupt only the contiguous committed prefix is durable — exactly
 /// the serial semantics — and measured-but-uncommitted results are
 /// discarded (they will be re-measured, deterministically, on resume).
-/// In-order claiming bounds that loss to what the threads finished past
-/// the committer.
-bool runInProcessParallel(DriveState &D, std::deque<size_t> &Todo,
-                          unsigned Jobs) {
+bool commitInRoundOrder(DriveState &D, std::deque<size_t> &Todo,
+                        const RoundMeasure &Measure) {
   std::vector<size_t> Order(Todo.begin(), Todo.end());
   Todo.clear();
   size_t N = Order.size();
+  std::vector<ConfigEval *> Slots(N);
+  for (size_t I = 0; I != N; ++I)
+    Slots[I] = &D.out().Evals[Order[I]];
 
   std::mutex M;
   std::condition_variable Cv;
   std::vector<char> Ready(N, 0); // Guarded by M.
   std::atomic<bool> Cancel{false};
 
-  // Declared after what it uses, so a caller unwinding out of parallelFor
+  // Declared after what it uses, so a caller unwinding out of Measure
   // stops and joins it before they go.
   std::jthread Committer([&](std::stop_token Unwinding) {
     for (size_t Next = 0; Next != N && !Unwinding.stop_requested();) {
@@ -469,18 +471,36 @@ bool runInProcessParallel(DriveState &D, std::deque<size_t> &Todo,
       ++Next;
     }
   });
-  // Cancelled claims finish without measuring.
-  parallelFor(Jobs, N, [&](size_t I) {
-    if (!Cancel.load(std::memory_order_acquire))
-      D.measureOnly(D.out().Evals[Order[I]]);
-    {
-      std::lock_guard<std::mutex> L(M);
-      Ready[I] = 1;
-    }
-    Cv.notify_one();
-  });
+  Measure(
+      Slots,
+      [&](size_t I) {
+        {
+          std::lock_guard<std::mutex> L(M);
+          Ready[I] = 1;
+        }
+        Cv.notify_one();
+      },
+      [&] { return Cancel.load(std::memory_order_acquire); });
   Committer.join();
   return !Cancel.load(std::memory_order_relaxed);
+}
+
+/// The parallel in-process path: parallelFor's threads claim the round
+/// front to back, so an interrupt loses only what they finished past the
+/// committer.  Cancelled claims finish without measuring.
+bool runInProcessParallel(DriveState &D, std::deque<size_t> &Todo,
+                          unsigned Jobs) {
+  return commitInRoundOrder(
+      D, Todo,
+      [&](const std::vector<ConfigEval *> &Slots,
+          const std::function<void(size_t)> &Done,
+          const std::function<bool()> &Stopped) {
+        parallelFor(Jobs, Slots.size(), [&](size_t I) {
+          if (!Stopped())
+            D.measureOnly(*Slots[I]);
+          Done(I);
+        });
+      });
 }
 
 /// A plan as a cursor: one round proposing every candidate in plan order.
@@ -500,11 +520,16 @@ private:
 } // namespace
 
 SweepReport SweepDriver::run(SweepPlan Plan) const {
+  return run(std::move(Plan), RoundMeasure());
+}
+
+SweepReport SweepDriver::run(SweepPlan Plan,
+                             const RoundMeasure &Measure) const {
   PlanCursor Cursor(Plan);
   uint64_t Budget = Plan.Candidates.size();
   SearchOutcome Seed = SearchOutcome::fromPlan(std::move(Plan));
   std::vector<size_t> Candidates = std::exchange(Seed.Candidates, {});
-  SweepReport Rep = drive(std::move(Seed), Cursor, Budget);
+  SweepReport Rep = drive(std::move(Seed), Cursor, Budget, Measure);
   // A plan's candidates are the plan, quarantined ones included.
   Rep.Outcome.Candidates = std::move(Candidates);
   return Rep;
@@ -514,11 +539,12 @@ SweepReport SweepDriver::run(SearchCursor &Cursor, uint64_t Budget,
                              std::string Strategy) const {
   SearchOutcome Seed;
   Seed.Strategy = std::move(Strategy);
-  return drive(std::move(Seed), Cursor, Budget);
+  return drive(std::move(Seed), Cursor, Budget, RoundMeasure());
 }
 
 SweepReport SweepDriver::drive(SearchOutcome Seed, SearchCursor &Cursor,
-                               uint64_t Budget) const {
+                               uint64_t Budget,
+                               const RoundMeasure &RoundFill) const {
   DriveState D(Engine, Opts, Budget);
   D.out() = std::move(Seed);
 
@@ -582,6 +608,8 @@ SweepReport SweepDriver::drive(SearchOutcome Seed, SearchCursor &Cursor,
            "running in-process");
   }
   auto Measure = [&](std::deque<size_t> &Todo) {
+    if (RoundFill)
+      return commitInRoundOrder(D, Todo, RoundFill);
     if (Isolated)
       return runIsolated(D, Todo);
     if (Jobs > 1 && Todo.size() > 1)

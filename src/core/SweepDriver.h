@@ -141,11 +141,27 @@ struct SweepReport {
   bool DegradedInProcess = false;
   /// The resumed journal ended in a torn record that was dropped.
   bool TornTailDropped = false;
+  /// A journal append failed, so the records after it are not durable;
+  /// the sweep went on without the journal (see Warnings).
+  bool JournalFailed = false;
   /// Human-readable notes (degradation, retries, torn tail).
   std::vector<std::string> Warnings;
   /// Set when Status == Error.
   Diagnostic Error;
 };
+
+/// Measures a plan's round in place of the driver's own threads — how the
+/// fleet coordinator fills it from worker shard results.  \p Slots are the
+/// round's unreplayed candidates in commit order: for a plan, the suffix
+/// after the journal prefix a resume replayed.  The function fills every
+/// slot (a measurement or a Failure), in any order and from any thread,
+/// calls Done(I) once slot I is final, and returns when every slot is
+/// done or Stopped() is true.  The calling thread runs it; the driver's
+/// committer journals the slots in round order meanwhile.
+using RoundMeasure = std::function<void(
+    const std::vector<ConfigEval *> &Slots,
+    const std::function<void(size_t)> &Done,
+    const std::function<bool()> &Stopped)>;
 
 /// Runs plans and cursors durably.  The engine must outlive the driver.
 class SweepDriver {
@@ -160,6 +176,10 @@ public:
   /// compare equal to uninterrupted ones.
   SweepReport run(SweepPlan Plan) const;
 
+  /// Like run(SweepPlan), except that \p Measure measures the round;
+  /// SweepOptions::Isolate and Jobs then do not apply to measurement.
+  SweepReport run(SweepPlan Plan, const RoundMeasure &Measure) const;
+
   /// Executes the search \p Cursor proposes until it converges, \p Budget
   /// records (replayed ones included) are committed, or a round backstop
   /// of 256 + 16 * Budget rounds is hit.  Evals holds every configuration
@@ -171,7 +191,7 @@ public:
 
 private:
   SweepReport drive(SearchOutcome Seed, SearchCursor &Cursor,
-                    uint64_t Budget) const;
+                    uint64_t Budget, const RoundMeasure &Measure) const;
 
   const SearchEngine &Engine;
   SweepOptions Opts;

@@ -6,21 +6,19 @@
 
 #include "fleet/Coordinator.h"
 
-#include "core/Search.h"
+#include "core/EvalRecord.h"
+#include "core/SweepDriver.h"
 #include "serve/Shard.h"
 #include "support/Backoff.h"
-#include "support/Journal.h"
 #include "support/Trace.h"
 
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -42,13 +40,6 @@ Diagnostic fleetDiag(std::string Msg) {
   return makeDiag(ErrorCode::SocketError, Stage::Parse, std::move(Msg));
 }
 
-std::string shardName(uint64_t Index) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "shard-%06llu",
-                static_cast<unsigned long long>(Index));
-  return Buf;
-}
-
 } // namespace
 
 //===--- Impl -----------------------------------------------------------------//
@@ -62,6 +53,16 @@ struct FleetCoordinator::Impl {
   std::unique_ptr<SearchEngine> Eng;
   JournalHeader Header;
   ShardPlan Partition;
+  /// Each candidate's flat index, in plan order: what the records of a
+  /// shard result must carry.
+  std::vector<uint64_t> CandidateFlat;
+
+  // The round the SweepDriver hands measure() (set before any thread
+  // starts).  Slots are the candidates from plan position Replayed on.
+  const std::vector<ConfigEval *> *Slots = nullptr;
+  const std::function<void(size_t)> *SlotDone = nullptr;
+  const std::function<bool()> *Stopped = nullptr;
+  uint64_t Replayed = 0;
 
   /// One shard's scheduling state.  Req is immutable after setup; the
   /// rest is guarded by M.
@@ -71,7 +72,6 @@ struct FleetCoordinator::Impl {
     bool HedgedOnce = false;
     unsigned InFlight = 0;
     std::chrono::steady_clock::time_point ActiveSince;
-    std::vector<std::string> Records;
   };
 
   std::mutex M;
@@ -80,28 +80,31 @@ struct FleetCoordinator::Impl {
   std::deque<uint64_t> Queue;       ///< Guarded by M; may hold hedge dups.
   std::vector<double> Durations;    ///< Guarded by M; completed-shard secs.
   uint64_t DoneCount = 0;           ///< Guarded by M.
+  uint64_t Recovered = 0;           ///< Shards wholly replayed.
   uint64_t ReDispatched = 0;        ///< Guarded by M.
   uint64_t HedgedCount = 0;         ///< Guarded by M.
   uint64_t DuplicatesDropped = 0;   ///< Guarded by M.
   uint64_t LocalShards = 0;         ///< Guarded by M.
   bool Degraded = false;            ///< Guarded by M.
-  bool Fatal = false;               ///< Guarded by M.
-  Diagnostic FatalDiag;             ///< Guarded by M.
   std::vector<std::string> Warnings; ///< Guarded by M.
 
   explicit Impl(FleetOptions O) : Opts(std::move(O)), Pool(Opts.Workers) {}
 
   //===--- Predicates and small utilities ----------------------------------//
 
+  /// The driver's stop (a signal or Opts.ShouldStop), which its committer
+  /// notices within 50 ms.  A signal is read here directly as well: the
+  /// sweeps of local shards stop on it at once, and must not be re-queued
+  /// as if they had failed.
   bool stopRequested() const {
-    return Opts.ShouldStop && Opts.ShouldStop();
+    return sweepInterruptRequested() || (Stopped && (*Stopped)());
   }
 
   bool finishedLocked() const { return DoneCount == Shards.size(); }
 
   bool finished() {
     std::lock_guard<std::mutex> L(M);
-    return finishedLocked() || Fatal;
+    return finishedLocked();
   }
 
   bool shouldExit() { return finished() || stopRequested(); }
@@ -118,38 +121,10 @@ struct FleetCoordinator::Impl {
     Warnings.push_back(std::move(Msg));
   }
 
-  void fail(Diagnostic D) {
-    std::lock_guard<std::mutex> L(M);
-    if (!Fatal) {
-      Fatal = true;
-      FatalDiag = std::move(D);
-    }
-    Cv.notify_all();
-  }
-
-  //===--- Spool layout -----------------------------------------------------//
-
-  std::string manifestPath() const { return Opts.SpoolDir + "/fleet.plan"; }
-  std::string resultPath(uint64_t I) const {
-    return Opts.SpoolDir + "/" + shardName(I) + ".result";
-  }
-  std::string localJournalPath(uint64_t I) const {
-    return Opts.SpoolDir + "/" + shardName(I) + ".local.journal";
-  }
-
-  std::string manifestJson() const {
-    std::ostringstream OS;
-    OS << "{\"type\":\"fleet_plan\",\"plan_fp\":" << Partition.PlanFp
-       << ",\"shards\":" << Partition.Shards.size()
-       << ",\"candidates\":" << Partition.Candidates
-       << ",\"shard_size\":" << Partition.ShardSize << "}";
-    return OS.str();
-  }
-
   //===--- Setup ------------------------------------------------------------//
 
   /// Derives the plan, fingerprint, and shard partition.
-  Expected<Unit> buildPlan() {
+  Expected<SweepPlan> buildPlan() {
     TraceSpan Span("fleet.plan");
     std::string Error;
     if (!validateServeRequest(Opts.Request, Error))
@@ -170,6 +145,9 @@ struct FleetCoordinator::Impl {
     Partition = ShardPlan::partition(Plan.Candidates.size(),
                                      planFingerprint(Header, Plan),
                                      Opts.ShardSize);
+    CandidateFlat.clear();
+    for (size_t C : Plan.Candidates)
+      CandidateFlat.push_back(Plan.Evals[C].FlatIndex);
     Shards.clear();
     Shards.reserve(Partition.Shards.size());
     for (const ShardRange &R : Partition.Shards) {
@@ -181,63 +159,7 @@ struct FleetCoordinator::Impl {
       S.Req.End = R.End;
       Shards.push_back(std::move(S));
     }
-    return Unit{};
-  }
-
-  /// Opens the coordinator spool: validates (or writes) the plan
-  /// manifest, quarantines torn results, and loads every durable shard
-  /// result.  Shards have no tickets: buildPlan re-derives every shard
-  /// request, and the manifest pins the plan.  (Ticket files that older
-  /// coordinators wrote are ignored and left in place.)
-  Expected<Unit> openSpool() {
-    TraceSpan Span("fleet.spool");
-    std::error_code Ec;
-    std::filesystem::create_directories(Opts.SpoolDir, Ec);
-    if (Ec)
-      return fleetDiag("cannot create fleet spool '" + Opts.SpoolDir +
-                       "': " + Ec.message());
-
-    // The manifest pins the spool to one exact partition: a restart with
-    // a different plan (or shard size) must not splice foreign results.
-    std::string Manifest = manifestJson();
-    if (std::filesystem::exists(manifestPath())) {
-      Expected<std::string> File = readFile(manifestPath());
-      std::string_view Have = File ? std::string_view(*File) : "";
-      while (!Have.empty() && (Have.back() == '\n' || Have.back() == '\r'))
-        Have.remove_suffix(1);
-      if (Have != Manifest)
-        return fleetDiag(
-            "fleet spool '" + Opts.SpoolDir +
-            "' belongs to a different plan (manifest mismatch); use a "
-            "fresh --spool or rerun the original request");
-    } else {
-      Expected<Unit> W = writeFileDurable(manifestPath(), Manifest + "\n");
-      if (!W)
-        return W.takeDiag();
-    }
-
-    for (uint64_t I = 0; I != Shards.size(); ++I) {
-      if (!std::filesystem::exists(resultPath(I)))
-        continue;
-      Expected<std::string> File = readFile(resultPath(I));
-      Expected<ShardResult> R =
-          File ? ShardResult::fromJson(*File) : File.takeDiag();
-      bool Valid = bool(R) && R->completed() &&
-                   R->PlanFp == Partition.PlanFp && R->ShardIndex == I &&
-                   R->Records.size() == Partition.Shards[I].size();
-      if (!Valid) {
-        // Same invariant as serve/Spool: a torn file is quarantined and
-        // reported, never fatal; the shard simply runs again.
-        warn(quarantineFile(resultPath(I),
-                            "quarantined corrupt fleet shard result '" +
-                                resultPath(I) + "'"));
-        continue;
-      }
-      Shards[I].Done = true;
-      Shards[I].Records = std::move(R->Records);
-      ++DoneCount;
-    }
-    return Unit{};
+    return Plan;
   }
 
   //===--- Shard scheduling --------------------------------------------------//
@@ -246,9 +168,8 @@ struct FleetCoordinator::Impl {
   /// empty.  Marks it in flight.
   std::optional<uint64_t> claimShard() {
     std::unique_lock<std::mutex> L(M);
-    Cv.wait_for(L, std::chrono::milliseconds(200), [this] {
-      return !Queue.empty() || finishedLocked() || Fatal;
-    });
+    Cv.wait_for(L, std::chrono::milliseconds(200),
+                [this] { return !Queue.empty() || finishedLocked(); });
     while (!Queue.empty()) {
       uint64_t I = Queue.front();
       Queue.pop_front();
@@ -277,32 +198,39 @@ struct FleetCoordinator::Impl {
     }
   }
 
-  /// First-result-wins durable commit.  Returns false only on a fatal
-  /// spool failure.
-  bool commitShard(uint64_t I, std::vector<std::string> Records,
+  /// Applies shard \p I's result, first result wins: every record must
+  /// parse and carry its candidate's flat index, or the result is refused
+  /// (false).  Records the resumed journal already holds are not applied
+  /// again.
+  bool commitShard(uint64_t I, const std::vector<std::string> &Records,
                    double DurationSeconds, bool Local) {
-    std::unique_lock<std::mutex> L(M);
-    Shard &S = Shards[size_t(I)];
-    if (S.Done) {
-      ++DuplicatesDropped;
-      traceCount("fleet.duplicate_dropped");
-      return true;
-    }
-    ShardResult R;
-    R.ShardIndex = I;
-    R.PlanFp = Partition.PlanFp;
-    R.Begin = S.Req.Begin;
-    R.End = S.Req.End;
-    R.Status = "completed";
-    R.Records = Records;
-    Expected<Unit> W = writeFileDurable(resultPath(I), R.toJson() + "\n");
-    if (!W) {
-      L.unlock();
-      fail(W.takeDiag());
+    const ShardRange &Range = Partition.Shards[size_t(I)];
+    if (Records.size() != Range.size())
       return false;
+    std::vector<EvalRecord> Parsed;
+    Parsed.reserve(Records.size());
+    for (uint64_t K = 0; K != Range.size(); ++K) {
+      Expected<EvalRecord> R = EvalRecord::fromJson(Records[size_t(K)]);
+      if (!R || R->Index != CandidateFlat[size_t(Range.Begin + K)])
+        return false;
+      Parsed.push_back(R.takeValue());
     }
-    S.Done = true;
-    S.Records = std::move(Records);
+
+    {
+      std::lock_guard<std::mutex> L(M);
+      Shard &S = Shards[size_t(I)];
+      if (S.Done) {
+        ++DuplicatesDropped;
+        traceCount("fleet.duplicate_dropped");
+        return true;
+      }
+      S.Done = true; // This result won; only it writes the slots.
+    }
+    for (uint64_t P = std::max(Range.Begin, Replayed); P != Range.End; ++P) {
+      Parsed[size_t(P - Range.Begin)].applyTo(*(*Slots)[size_t(P - Replayed)]);
+      (*SlotDone)(size_t(P - Replayed));
+    }
+    std::lock_guard<std::mutex> L(M);
     ++DoneCount;
     Durations.push_back(DurationSeconds);
     if (Local) {
@@ -336,7 +264,6 @@ struct FleetCoordinator::Impl {
   void workerLoop(size_t W) {
     unsigned FailStreak = 0;
     std::optional<ServeClient> Conn;
-    auto LastProbe = std::chrono::steady_clock::now();
     double ProbeTimeout = std::max(1.0, Opts.HeartbeatSeconds);
 
     auto Disconnect = [&](const std::string &Why, uint64_t Salt) {
@@ -368,34 +295,27 @@ struct FleetCoordinator::Impl {
         Conn.emplace(std::move(*C));
         Pool.setHealthy(W, true);
         FailStreak = 0;
-        LastProbe = std::chrono::steady_clock::now();
       }
 
-      std::optional<uint64_t> I = claimShard();
-      if (!I) {
-        // Idle: heartbeat the daemon so silent death is noticed within a
-        // heartbeat period, not at the next dispatch.
-        if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          LastProbe)
-                .count() >= Opts.HeartbeatSeconds) {
-          Expected<ServeStatus> St = Conn->status(ProbeTimeout);
-          LastProbe = std::chrono::steady_clock::now();
-          if (!St || St->Draining) {
-            Disconnect(!St ? St.diag().Message : "worker is draining", 1);
-            continue;
-          }
-        }
+      // The monitor's fresh-connection probe is the one health signal: a
+      // runner whose worker failed it drops the connection and reconnects
+      // (a busy runner's dispatch is abandoned on the same flag).
+      if (!Pool.healthy(W)) {
+        Disconnect("failed a heartbeat probe", 1);
         continue;
       }
+      std::optional<uint64_t> I = claimShard();
+      if (!I)
+        continue;
 
       auto T0 = std::chrono::steady_clock::now();
       Expected<ShardResult> R = Conn->runShard(
           Shards[size_t(*I)].Req, Opts.ShardTimeoutSeconds, [this, W] {
             return finished() || stopRequested() || !Pool.healthy(W);
           });
-      LastProbe = std::chrono::steady_clock::now();
-      double Dur =
-          std::chrono::duration<double>(LastProbe - T0).count();
+      double Dur = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - T0)
+                       .count();
 
       if (!R) {
         releaseShard(*I, /*Requeue=*/!stopRequested());
@@ -406,18 +326,13 @@ struct FleetCoordinator::Impl {
       }
       if (!R->completed() || R->ShardIndex != *I ||
           R->PlanFp != Partition.PlanFp ||
-          R->Records.size() != Shards[size_t(*I)].Req.End -
-                                   Shards[size_t(*I)].Req.Begin) {
+          !commitShard(*I, R->Records, Dur, /*Local=*/false)) {
         releaseShard(*I, /*Requeue=*/!stopRequested());
         Disconnect("shard " + std::to_string(*I) + " refused: " +
                        (R->Error.empty() ? "malformed shard_result"
                                          : R->Error),
                    *I);
         continue;
-      }
-      if (!commitShard(*I, std::move(R->Records), Dur, /*Local=*/false)) {
-        releaseShard(*I, /*Requeue=*/false);
-        return; // Fatal spool failure; run() reports it.
       }
       releaseShard(*I, /*Requeue=*/false);
     }
@@ -439,19 +354,16 @@ struct FleetCoordinator::Impl {
         continue;
       auto T0 = std::chrono::steady_clock::now();
       ShardResult R = executeShard(*Eng, *App, Shards[size_t(*I)].Req,
-                                   localJournalPath(*I), Opts.Jobs,
+                                   Opts.SpoolDir, Opts.Jobs,
                                    [this] { return stopRequested(); });
       double Dur = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - T0)
                        .count();
-      if (!R.completed()) {
-        warn("local shard " + std::to_string(*I) + ": " + R.Error);
+      if (!R.completed() || !commitShard(*I, R.Records, Dur, /*Local=*/true)) {
+        warn("local shard " + std::to_string(*I) + ": " +
+             (R.Error.empty() ? "malformed records" : R.Error));
         releaseShard(*I, /*Requeue=*/!stopRequested());
         continue;
-      }
-      if (!commitShard(*I, std::move(R.Records), Dur, /*Local=*/true)) {
-        releaseShard(*I, /*Requeue=*/false);
-        return;
       }
       releaseShard(*I, /*Requeue=*/false);
     }
@@ -480,7 +392,8 @@ struct FleetCoordinator::Impl {
         std::lock_guard<std::mutex> L(M);
         // Hedge: with >= 3 completed durations, any in-flight shard past
         // the percentile (with a floor) gets queued a second time.
-        if (Durations.size() >= 3 && Pool.size() + (Opts.AllowLocal ? 1 : 0) > 1) {
+        if (Durations.size() >= 3 &&
+            Pool.size() + (Opts.AllowLocal ? 1 : 0) > 1) {
           std::vector<double> Sorted(Durations);
           std::sort(Sorted.begin(), Sorted.end());
           size_t Idx =
@@ -516,31 +429,47 @@ struct FleetCoordinator::Impl {
     }
   }
 
-  //===--- Merge -------------------------------------------------------------//
+  //===--- The round --------------------------------------------------------//
 
-  /// Splices every shard's records, in shard order, into the merged
-  /// journal — written to a temp name and renamed, so the journal path
-  /// only ever holds a complete merge.
-  Expected<Unit> merge() {
-    TraceSpan Span("fleet.merge");
-    std::string Tmp = Opts.JournalPath + ".merge.tmp";
-    Expected<JournalWriter> W = JournalWriter::create(Tmp, Header);
-    if (!W)
-      return W.takeDiag();
-    for (const Shard &S : Shards)
-      for (const std::string &Rec : S.Records) {
-        Expected<Unit> A = W->appendRecord(Rec);
-        if (!A)
-          return A.takeDiag();
+  /// The SweepDriver's RoundMeasure: shards wholly inside the replayed
+  /// journal prefix are recovered; the rest run on the runner, local and
+  /// monitor threads until every slot is filled or the driver stops.
+  void measure(const std::vector<ConfigEval *> &RoundSlots,
+               const std::function<void(size_t)> &Done,
+               const std::function<bool()> &Stop) {
+    Slots = &RoundSlots;
+    SlotDone = &Done;
+    Stopped = &Stop;
+    Replayed = CandidateFlat.size() - RoundSlots.size();
+    for (uint64_t I = 0; I != Shards.size(); ++I) {
+      if (Partition.Shards[size_t(I)].End <= Replayed) {
+        Shards[size_t(I)].Done = true;
+        ++DoneCount;
+      } else {
+        Queue.push_back(I);
       }
-    W->close();
-    std::error_code Ec;
-    std::filesystem::rename(Tmp, Opts.JournalPath, Ec);
-    if (Ec)
-      return fleetDiag("cannot move merged journal into place: " +
-                       Ec.message());
-    fsyncParentDir(Opts.JournalPath);
-    return Unit{};
+    }
+    Recovered = DoneCount;
+
+    if (!Queue.empty() && !stopRequested()) {
+      std::vector<std::thread> Threads;
+      for (size_t W = 0; W != Pool.size(); ++W)
+        Threads.emplace_back(&Impl::workerLoop, this, W);
+      if (Opts.AllowLocal)
+        Threads.emplace_back(&Impl::localLoop, this);
+      Threads.emplace_back(&Impl::monitorLoop, this);
+      {
+        std::unique_lock<std::mutex> L(M);
+        while (!finishedLocked() && !stopRequested())
+          Cv.wait_for(L, std::chrono::milliseconds(100));
+      }
+      for (std::thread &T : Threads)
+        T.join();
+    }
+    // The round's slots and callbacks live only for this call.
+    Slots = nullptr;
+    SlotDone = nullptr;
+    Stopped = nullptr;
   }
 };
 
@@ -569,68 +498,61 @@ FleetReport FleetCoordinator::run() {
     return Rep;
   }
 
-  Expected<Unit> P = M->buildPlan();
-  if (!P) {
-    Rep.Error = P.takeDiag();
+  Expected<SweepPlan> Plan = M->buildPlan();
+  if (!Plan) {
+    Rep.Error = Plan.takeDiag();
     return Rep;
   }
   Rep.PlanFp = M->Partition.PlanFp;
   Rep.ShardsTotal = M->Partition.Shards.size();
 
-  Expected<Unit> Sp = M->openSpool();
-  if (!Sp) {
-    Rep.Error = Sp.takeDiag();
-    Rep.Warnings = std::move(M->Warnings);
+  std::error_code Ec;
+  std::filesystem::create_directories(M->Opts.SpoolDir, Ec);
+  if (Ec) {
+    Rep.Error = fleetDiag("cannot create fleet spool '" + M->Opts.SpoolDir +
+                          "': " + Ec.message());
     return Rep;
   }
-  Rep.ShardsRecovered = M->DoneCount;
-  for (uint64_t I = 0; I != M->Shards.size(); ++I)
-    if (!M->Shards[I].Done)
-      M->Queue.push_back(I);
 
-  if (!M->Queue.empty() && !M->stopRequested()) {
-    std::vector<std::thread> Threads;
-    for (size_t W = 0; W != M->Pool.size(); ++W)
-      Threads.emplace_back(&Impl::workerLoop, M, W);
-    if (M->Opts.AllowLocal)
-      Threads.emplace_back(&Impl::localLoop, M);
-    Threads.emplace_back(&Impl::monitorLoop, M);
-
-    {
-      std::unique_lock<std::mutex> L(M->M);
-      while (!M->finishedLocked() && !M->Fatal) {
-        if (M->stopRequested())
-          break;
-        M->Cv.wait_for(L, std::chrono::milliseconds(100));
-      }
-    }
-    for (std::thread &T : Threads)
-      T.join();
-  }
+  // The driver journals the shards' records in plan order, exactly as for
+  // `tune search --journal`, and resumes a journal that already exists.
+  SweepOptions SO;
+  SO.JournalPath = M->Opts.JournalPath;
+  SO.Resume = std::filesystem::exists(SO.JournalPath);
+  SO.Fingerprint = M->Header;
+  SO.ShouldStop = M->Opts.ShouldStop;
+  SweepReport Sweep = SweepDriver(*M->Eng, std::move(SO))
+                          .run(Plan.takeValue(),
+                               [this](const std::vector<ConfigEval *> &Slots,
+                                      const std::function<void(size_t)> &Done,
+                                      const std::function<bool()> &Stop) {
+                                 M->measure(Slots, Done, Stop);
+                               });
 
   Rep.ShardsCompleted = M->DoneCount;
+  Rep.ShardsRecovered = M->Recovered;
   Rep.ReDispatched = M->ReDispatched;
   Rep.Hedged = M->HedgedCount;
   Rep.DuplicatesDropped = M->DuplicatesDropped;
   Rep.LocalShards = M->LocalShards;
   Rep.Degraded = M->Degraded;
-  Rep.Warnings = std::move(M->Warnings);
+  Rep.Warnings = std::move(Sweep.Warnings);
+  for (std::string &W : M->Warnings)
+    Rep.Warnings.push_back(std::move(W));
 
-  if (M->Fatal) {
-    Rep.Status = FleetStatus::Error;
-    Rep.Error = M->FatalDiag;
+  if (Sweep.Status == SweepStatus::Error) {
+    Rep.Error = std::move(Sweep.Error);
     return Rep;
   }
-  if (M->DoneCount != M->Shards.size()) {
-    Rep.Status = FleetStatus::Interrupted;
+  // The journal is the fleet's output: a run that lost records is failed.
+  if (Sweep.JournalFailed) {
+    Rep.Error = fleetDiag("journal '" + M->Opts.JournalPath +
+                          "' is incomplete after a failed write; rerun "
+                          "to resume it");
     return Rep;
   }
-  Expected<Unit> Merged = M->merge();
-  if (!Merged) {
-    Rep.Status = FleetStatus::Error;
-    Rep.Error = Merged.takeDiag();
-    return Rep;
-  }
-  Rep.Status = FleetStatus::Completed;
+  Rep.Status = Sweep.Status == SweepStatus::Completed
+                   ? FleetStatus::Completed
+                   : FleetStatus::Interrupted;
   return Rep;
 }

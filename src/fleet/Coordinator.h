@@ -7,27 +7,27 @@
 /// \file
 /// `tune fleet`'s engine: partitions one deterministic sweep plan into
 /// shards (fleet/ShardPlan.h), dispatches them to N tune-serve workers
-/// over the framed-JSON protocol, and merges the returned journal
-/// records into a single journal byte-identical to what one daemon (or
-/// `tune search --journal`) would have written for the same plan.
+/// over the framed-JSON protocol, and fills the plan's round from their
+/// journal records through SweepDriver::run(SweepPlan, RoundMeasure).
+/// The driver journals the records in plan order, so the journal is the
+/// bytes `tune search --journal` writes for the same plan because the
+/// same code writes both.
 ///
 /// Robustness model (DESIGN.md §13):
-///  - every shard is idempotent, keyed by (plan fingerprint, shard
-///    index); duplicate completions are dropped first-result-wins;
+///  - every shard is idempotent, keyed by (plan fingerprint, candidate
+///    range); duplicate completions are dropped first-result-wins;
 ///  - a dead, hung, or refused worker gets its in-flight shard
 ///    re-queued and its runner reconnects with capped exponential
-///    backoff (support/Backoff.h); idle runners heartbeat with status
-///    probes so silent death is noticed within a heartbeat period;
+///    backoff (support/Backoff.h); the monitor probes every worker on a
+///    fresh connection each heartbeat, and a runner whose worker failed
+///    the probe drops its connection;
 ///  - stragglers past the 95th percentile of completed-shard durations
 ///    are hedged onto a second worker;
 ///  - when every remote worker is unhealthy the coordinator degrades to
 ///    executing shards in-process rather than stalling;
-///  - the coordinator keeps its own crash-safe spool (a plan manifest
-///    and one durable result per finished shard, written tmp+fsync+
-///    rename by support/Journal's writeFileDurable), so a SIGKILLed
-///    coordinator restarted on the same spool resumes only unfinished
-///    shards.  Shards need no tickets: the manifest pins the plan, and
-///    the plan re-derives every shard request.
+///  - the journal is the coordinator's only durable state: a rerun
+///    resumes it like `tune search --resume`, recovering the shards that
+///    lie wholly in its prefix and dispatching the rest.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,16 +60,16 @@ struct FleetProgress {
 
 /// How a fleet run ended.
 enum class FleetStatus : uint8_t {
-  Completed,   ///< All shards done; merged journal written.
-  Interrupted, ///< Stopped by signal/ShouldStop; spool resumes the rest.
-  Error,       ///< Unrecoverable setup/merge failure; see Error.
+  Completed,   ///< All shards done and journaled.
+  Interrupted, ///< Stopped by signal/ShouldStop; the journal resumes.
+  Error,       ///< Setup or journal failure; see Error.
 };
 
 struct FleetReport {
   FleetStatus Status = FleetStatus::Error;
   uint64_t ShardsTotal = 0;
   uint64_t ShardsCompleted = 0;
-  uint64_t ShardsRecovered = 0;   ///< Already durable when the run started.
+  uint64_t ShardsRecovered = 0;   ///< Wholly in the resumed journal.
   uint64_t ReDispatched = 0;      ///< Requeued after a worker failure.
   uint64_t Hedged = 0;            ///< Straggler duplicates issued.
   uint64_t DuplicatesDropped = 0; ///< Late results beaten by a first finisher.
@@ -87,10 +87,11 @@ struct FleetOptions {
   /// Remote workers.  May be empty: the coordinator then runs every
   /// shard in-process (AllowLocal must be true).
   std::vector<WorkerEndpoint> Workers;
-  /// Coordinator spool directory (plan manifest + shard results).
+  /// Where shards run in-process keep their resume journals.
   std::string SpoolDir;
-  /// The merged journal's path.  Written atomically (tmp + rename) once
-  /// every shard is durable.
+  /// The fleet's journal: grows in plan order as the finished shards'
+  /// contiguous prefix, and is resumed whenever it exists (one of
+  /// another request is refused).
   std::string JournalPath;
   /// Candidates per shard (clamped to [1, 1024]).
   uint64_t ShardSize = 8;
@@ -116,9 +117,9 @@ public:
   FleetCoordinator(const FleetCoordinator &) = delete;
   FleetCoordinator &operator=(const FleetCoordinator &) = delete;
 
-  /// Plans, recovers the spool, dispatches every unfinished shard, and
-  /// merges.  Blocking; returns when the journal is written, the run is
-  /// interrupted, or setup fails.
+  /// Plans, resumes the journal, and dispatches every shard it does not
+  /// hold yet.  Blocking; returns when the journal is complete, the run
+  /// is interrupted, or setup or the journal fails.
   FleetReport run();
 
 private:

@@ -7,11 +7,11 @@
 /// \file
 /// The coordinator's shard map: a sweep plan's candidate list cut into
 /// contiguous fixed-size ranges.  The partition is a pure function of
-/// (candidate count, shard size), and each shard is identified by
-/// (plan fingerprint, shard index) — together the idempotency key that
-/// lets the fleet re-dispatch, hedge, and resume shards freely: any two
-/// executions of the same key produce byte-identical journal records,
-/// so first-result-wins merging is safe.
+/// (candidate count, shard size), and each shard's work is identified by
+/// (plan fingerprint, candidate range) — the idempotency key that lets
+/// the fleet re-dispatch, hedge, and resume shards freely, under any
+/// shard size: any two executions of the same key produce byte-identical
+/// journal records, so first-result-wins is safe.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -48,8 +48,9 @@ double g80::bandwidthDemandRatio(const StaticProfile &Profile,
                                  const MachineModel &Machine) {
   if (Profile.DynInstrs == 0)
     return 0;
-  double BytesPerThreadInstr = static_cast<double>(Profile.GlobalBytesEffective) /
-                               static_cast<double>(Profile.DynInstrs);
+  double BytesPerThreadInstr =
+      static_cast<double>(Profile.GlobalBytesEffective) /
+      static_cast<double>(Profile.DynInstrs);
   // Peak issue: one warp-instruction per issue window => WarpSize thread-
   // instructions per issueCyclesPerWarpInstr() cycles.
   double ThreadInstrsPerCycle =

@@ -31,8 +31,8 @@
 ///   result        terminal per-request outcome (also the durable spool
 ///                 record)
 ///   shard_result  the shard's journal record payloads, in candidate
-///                 order — what the coordinator splices into the merged
-///                 journal
+///                 order — what the coordinator applies to its plan's
+///                 slots for its SweepDriver to journal
 ///   status        the stats snapshot
 ///   ok            acknowledgement (shutdown)
 ///
@@ -100,7 +100,7 @@ struct TuneResult {
 /// the request's tune fields deterministically re-derive.  PlanFp is the
 /// coordinator's fingerprint of that plan (serve/Shard.h); a worker whose
 /// re-derived plan disagrees refuses the shard, which catches version or
-/// configuration skew before it can corrupt a merged journal.
+/// configuration skew before it can corrupt the fleet's journal.
 struct ShardRequest {
   TuneRequest Tune;        ///< Wait/DeadlineSeconds are ignored.
   uint64_t PlanFp = 0;

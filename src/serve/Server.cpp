@@ -38,7 +38,8 @@ struct TuneServer::Engine {
 };
 
 TuneServer::TuneServer(ServeOptions Opts)
-    : Opts(std::move(Opts)), Queue(std::max<size_t>(1, this->Opts.QueueLimit)) {}
+    : Opts(std::move(Opts)),
+      Queue(std::max<size_t>(1, this->Opts.QueueLimit)) {}
 
 TuneServer::~TuneServer() {
   requestDrain();
@@ -321,9 +322,7 @@ std::string TuneServer::runShard(const ShardRequest &SReq) {
   // rather than re-measure.
   Active.fetch_add(1, std::memory_order_relaxed);
   ShardResult Res = executeShard(
-      *E->Eng, *E->App, SReq,
-      Requests.shardJournalPath(SReq.PlanFp, SReq.ShardIndex), Opts.Jobs,
-      [this] {
+      *E->Eng, *E->App, SReq, Requests.dir(), Opts.Jobs, [this] {
         return Draining.load(std::memory_order_acquire) ||
                sweepInterruptRequested() || sweepForceQuitRequested();
       });

@@ -14,6 +14,7 @@
 #include "kernels/Sad.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <utility>
 
@@ -169,7 +170,7 @@ uint64_t g80::planFingerprint(const JournalHeader &Header,
 
 ShardResult g80::executeShard(const SearchEngine &Eng, const TunableApp &App,
                               const ShardRequest &Req,
-                              const std::string &JournalPath, unsigned Jobs,
+                              const std::string &JournalDir, unsigned Jobs,
                               const std::function<bool()> &ShouldStop) {
   ShardResult Res;
   Res.ShardIndex = Req.ShardIndex;
@@ -207,9 +208,16 @@ ShardResult g80::executeShard(const SearchEngine &Eng, const TunableApp &App,
   std::vector<size_t> Flat(Plan.Candidates.begin() + ptrdiff_t(Req.Begin),
                            Plan.Candidates.begin() + ptrdiff_t(Req.End));
 
+  // Keyed by range, not shard index: the range behind an index depends on
+  // the shard size, which may change between a coordinator's restarts.
+  char Name[80];
+  std::snprintf(Name, sizeof(Name), "shard-%016llx-%llu-%llu.journal",
+                static_cast<unsigned long long>(Res.PlanFp),
+                static_cast<unsigned long long>(Req.Begin),
+                static_cast<unsigned long long>(Req.End));
   SweepOptions SOpts;
-  SOpts.JournalPath = JournalPath;
-  SOpts.Resume = std::filesystem::exists(JournalPath);
+  SOpts.JournalPath = JournalDir + "/" + Name;
+  SOpts.Resume = std::filesystem::exists(SOpts.JournalPath);
   SOpts.Jobs = Jobs;
   SOpts.Fingerprint = Header;
   SOpts.ShouldStop = ShouldStop;
@@ -227,7 +235,8 @@ ShardResult g80::executeShard(const SearchEngine &Eng, const TunableApp &App,
 
   Res.Records.reserve(Flat.size());
   for (size_t Idx : Flat)
-    Res.Records.push_back(EvalRecord::fromEval(Rep.Outcome.Evals[Idx]).toJson());
+    Res.Records.push_back(
+        EvalRecord::fromEval(Rep.Outcome.Evals[Idx]).toJson());
   Res.Status = "completed";
   Res.Error.clear();
   return Res;

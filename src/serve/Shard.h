@@ -10,13 +10,12 @@
 /// partition, and running shards in-process when every worker is gone)
 /// derive *exactly* the same engine, sweep plan, journal header and plan
 /// fingerprint from a TuneRequest here.  That is what makes a request's
-/// journal the same bytes on every front end, shards idempotent, and the
-/// merged journal byte-identical to a single-daemon run.
+/// journal the same bytes on every front end and shards idempotent.
 ///
 /// The plan fingerprint hashes the journal header together with the
 /// ordered candidate flat indices, so any skew in app space, machine
 /// model, pruning, or sampling between coordinator and worker is caught
-/// as a refused shard instead of a silently corrupted merge.
+/// as a refused shard instead of a silently corrupted fleet journal.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,16 +94,17 @@ SweepReport runRequest(const TunableApp &App, const SearchEngine &Eng,
 uint64_t planFingerprint(const JournalHeader &Header, const SweepPlan &Plan);
 
 /// Executes candidates [Req.Begin, Req.End) of the plan \p Req.Tune
-/// re-derives, journaled durably at \p JournalPath (resumed when the
-/// file already exists, so a re-dispatched shard replays instead of
-/// re-measuring).  Never fails out-of-band: refusals (fingerprint or
+/// re-derives, journaled durably in \p JournalDir under a name keyed by
+/// the plan fingerprint and the range (resumed when the file already
+/// exists, so a re-dispatched shard replays instead of re-measuring, at
+/// any shard size).  Never fails out-of-band: refusals (fingerprint or
 /// range mismatch) and sweep errors come back as Status == "error".
 /// On success Records holds exactly End-Begin journal record payloads in
 /// candidate order — byte-identical to the records a single-daemon sweep
 /// would have appended for those candidates.
 ShardResult executeShard(const SearchEngine &Eng, const TunableApp &App,
                          const ShardRequest &Req,
-                         const std::string &JournalPath, unsigned Jobs,
+                         const std::string &JournalDir, unsigned Jobs,
                          const std::function<bool()> &ShouldStop);
 
 } // namespace g80

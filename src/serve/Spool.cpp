@@ -80,15 +80,6 @@ Expected<Unit> Spool::writeResult(const std::string &Id,
   return writeFileDurable(resultPath(Id), ResultJson + "\n");
 }
 
-std::string Spool::shardJournalPath(uint64_t PlanFp,
-                                    uint64_t ShardIndex) const {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "shard-%016llx-%06llu.journal",
-                static_cast<unsigned long long>(PlanFp),
-                static_cast<unsigned long long>(ShardIndex));
-  return Dir + "/" + Buf;
-}
-
 Expected<std::vector<std::pair<std::string, TuneRequest>>>
 Spool::recover(std::vector<std::string> *Quarantined) const {
   std::vector<std::pair<std::string, TuneRequest>> Pending;

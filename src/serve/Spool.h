@@ -26,6 +26,11 @@
 /// writeFileDurable: fsync the file, then fsync the parent directory so
 /// the *name* survives too, and fail when either sync fails.
 ///
+/// A worker serving fleet shards also keeps each shard's resume journal
+/// here, named by the plan fingerprint and the candidate range
+/// (serve/Shard.h executeShard), so a shard re-dispatched under any
+/// shard size replays only its own records.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef G80TUNE_SERVE_SPOOL_H
@@ -76,10 +81,6 @@ public:
   std::string resultPath(const std::string &Id) const {
     return Dir + "/" + Id + ".result";
   }
-  /// Per-shard journal used when serving fleet shard requests; keyed by
-  /// the plan fingerprint and shard index so re-dispatched shards resume
-  /// instead of re-measuring.
-  std::string shardJournalPath(uint64_t PlanFp, uint64_t ShardIndex) const;
 
 private:
   std::string Dir;

@@ -35,7 +35,8 @@
 /// depend on core.
 ///
 /// writeFileDurable, readFile and quarantineFile are the whole-file
-/// operations both spools (serve/Spool, fleet/Coordinator) share.
+/// operations of the serve spool (serve/Spool); the fleet coordinator
+/// keeps no files of its own beyond its SweepDriver journal.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -101,7 +101,8 @@ TEST(Journal, RoundTrip) {
   W->close();
   std::string Text = slurp(Path);
   EXPECT_EQ(Text.substr(0, Text.find('\n') + 1),
-            "{\"g80journal\":1,\"crc\":\"af424f69a029a449\",\"hdr\":{\"app\":\"toy\","
+            "{\"g80journal\":1,\"crc\":\"af424f69a029a449\","
+            "\"hdr\":{\"app\":\"toy\","
             "\"machine\":\"GeForce 8800 GTX\",\"strategy\":\"exhaustive\","
             "\"seed\":1,\"budget\":0,\"raw\":100,\"space\":\"small\","
             "\"extra\":\"inject=\\\"x\\\"\"}}\n");

@@ -6,11 +6,11 @@
 //
 // The fleet subsystem bottom up: shard partitioning, endpoint parsing,
 // the shard wire frames, worker-side shard execution, the coordinator's
-// crash-safe spool (resume, quarantine, manifest pinning), end-to-end
-// byte-identity against a single-driver journal — distributed, degraded
-// local, and with a dead worker in the pool — and the chaos drill:
-// SIGKILL a random worker AND the coordinator mid-sweep, restart on the
-// same spool, and the merged journal is byte-identical to an
+// journal resume (a cut prefix, a torn tail, another shard size, another
+// request's journal), end-to-end byte-identity against a single-driver
+// journal — distributed, degraded local, and with a dead worker in the
+// pool — and the chaos drill: SIGKILL a random worker AND the coordinator
+// mid-sweep, restart on the same journal, and it is byte-identical to an
 // undisturbed run.
 //
 //===----------------------------------------------------------------------===//
@@ -35,6 +35,7 @@
 
 #ifndef _WIN32
 #include <csignal>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -54,6 +55,22 @@ std::string slurp(const std::string &Path) {
   std::ostringstream Buf;
   Buf << In.rdbuf();
   return Buf.str();
+}
+
+/// Cuts the journal at \p Path back to its header and first \p Records
+/// records, as a kill between two appends leaves it.
+void truncateJournal(const std::string &Path, size_t Records) {
+  std::string Text = slurp(Path);
+  size_t End = 0;
+  for (size_t Line = 0; Line != Records + 1; ++Line)
+    End = Text.find('\n', End) + 1;
+  std::filesystem::resize_file(Path, End);
+}
+
+/// The records \p Path holds (a torn tail dropped); 0 when unreadable.
+size_t journalRecords(const std::string &Path) {
+  Expected<JournalContents> C = readJournal(Path);
+  return C ? C->Records.size() : 0;
 }
 
 /// Polls \p Pred at 10ms until true or \p Seconds elapse.
@@ -277,9 +294,7 @@ TEST(ExecuteShardTest, ShardsConcatenateToTheFullJournal) {
     SReq.ShardIndex = R.Index;
     SReq.Begin = R.Begin;
     SReq.End = R.End;
-    ShardResult Res = executeShard(
-        Eng, *App, SReq,
-        Dir + "/shard-" + std::to_string(R.Index) + ".journal", 1, {});
+    ShardResult Res = executeShard(Eng, *App, SReq, Dir, 1, {});
     ASSERT_TRUE(Res.completed()) << Res.Error;
     EXPECT_EQ(Res.PlanFp, Fp);
     ASSERT_EQ(Res.Records.size(), R.size());
@@ -301,13 +316,12 @@ TEST(ExecuteShardTest, FingerprintSkewIsRefused) {
   SReq.PlanFp = 0xdeadbeef; // Not this plan's fingerprint.
   SReq.Begin = 0;
   SReq.End = 2;
-  ShardResult Res =
-      executeShard(Eng, *App, SReq, Dir + "/s.journal", 1, {});
+  ShardResult Res = executeShard(Eng, *App, SReq, Dir, 1, {});
   EXPECT_FALSE(Res.completed());
   EXPECT_NE(Res.Error.find("fingerprint mismatch"), std::string::npos);
 }
 
-//===--- Coordinator: local execution, spool, recovery ------------------------//
+//===--- Coordinator: local execution, journal resume -------------------------//
 
 TEST(FleetCoordinatorTest, LocalOnlyRunIsByteIdenticalToOneDriver) {
   std::string Dir = tmpDir("local");
@@ -324,21 +338,16 @@ TEST(FleetCoordinatorTest, LocalOnlyRunIsByteIdenticalToOneDriver) {
   EXPECT_FALSE(Rep.Degraded); // No workers configured — local is normal.
   EXPECT_EQ(slurp(Dir + "/fleet.journal"), slurp(Ref));
 
-  // The spool is the plan manifest plus one result per shard (and the
-  // in-process executor's per-shard journals); no shard tickets.
-  EXPECT_EQ(slurp(Dir + "/spool/fleet.plan"),
-            "{\"type\":\"fleet_plan\",\"plan_fp\":" +
-                std::to_string(Rep.PlanFp) +
-                ",\"shards\":12,\"candidates\":24,\"shard_size\":2}\n");
-  uint64_t Results = 0;
+  // The journal is the coordinator's only durable state: the spool holds
+  // just the in-process executor's shard journals, one per shard.
+  uint64_t Journals = 0;
   for (const auto &Entry :
        std::filesystem::directory_iterator(Dir + "/spool")) {
-    std::string Ext = Entry.path().extension().string();
-    Results += Ext == ".result";
-    EXPECT_TRUE(Ext == ".result" || Ext == ".plan" || Ext == ".journal")
-        << Entry.path();
+    EXPECT_EQ(Entry.path().extension(), ".journal") << Entry.path();
+    ++Journals;
   }
-  EXPECT_EQ(Results, Rep.ShardsTotal);
+  EXPECT_EQ(Journals, Rep.ShardsTotal);
+  EXPECT_FALSE(std::filesystem::exists(Dir + "/fleet.journal.merge.tmp"));
 }
 
 TEST(FleetCoordinatorTest, RestartOnFinishedSpoolRecoversEverything) {
@@ -351,15 +360,41 @@ TEST(FleetCoordinatorTest, RestartOnFinishedSpoolRecoversEverything) {
   ASSERT_EQ(First.Status, FleetStatus::Completed) << First.Error.Message;
   EXPECT_EQ(First.ShardsRecovered, 0u);
 
-  // Drop one durable result: only that shard may re-run.
-  std::string Victim = Dir + "/spool/shard-000002.result";
-  ASSERT_TRUE(std::filesystem::exists(Victim));
-  std::filesystem::remove(Victim);
-  std::filesystem::remove(Dir + "/fleet.journal");
+  // A finished journal: every shard is recovered, none dispatched.
+  FleetReport Again = FleetCoordinator(fleetOptions(Dir)).run();
+  ASSERT_EQ(Again.Status, FleetStatus::Completed) << Again.Error.Message;
+  EXPECT_EQ(Again.ShardsRecovered, Again.ShardsTotal);
+  EXPECT_EQ(Again.LocalShards, 0u);
+  EXPECT_EQ(slurp(Dir + "/fleet.journal"), slurp(Ref));
 
+  // Cut the journal inside shard 2 ([4, 6)): shards 0 and 1 are
+  // recovered, shard 2 runs whole and only its record 5 is appended.
+  truncateJournal(Dir + "/fleet.journal", 5);
   FleetReport Second = FleetCoordinator(fleetOptions(Dir)).run();
   ASSERT_EQ(Second.Status, FleetStatus::Completed) << Second.Error.Message;
-  EXPECT_EQ(Second.ShardsRecovered, Second.ShardsTotal - 1);
+  EXPECT_EQ(Second.ShardsRecovered, 2u);
+  EXPECT_EQ(Second.LocalShards, Second.ShardsTotal - 2);
+  EXPECT_EQ(slurp(Dir + "/fleet.journal"), slurp(Ref));
+}
+
+TEST(FleetCoordinatorTest, RestartWithAnotherShardSizeResumes) {
+  std::string Dir = tmpDir("reshard");
+  std::filesystem::create_directories(Dir);
+  std::string Ref = Dir + "/ref.journal";
+  writeReferenceJournal(fleetRequest(), Ref);
+
+  FleetReport First = FleetCoordinator(fleetOptions(Dir)).run();
+  ASSERT_EQ(First.Status, FleetStatus::Completed) << First.Error.Message;
+  truncateJournal(Dir + "/fleet.journal", 7);
+
+  // Shards of 5 over a 7-record prefix: [0, 5) is recovered and [5, 10)
+  // is cut by it.  The spool's shard journals of size 2 are not reused.
+  FleetOptions FO = fleetOptions(Dir);
+  FO.ShardSize = 5;
+  FleetReport Second = FleetCoordinator(std::move(FO)).run();
+  ASSERT_EQ(Second.Status, FleetStatus::Completed) << Second.Error.Message;
+  EXPECT_EQ(Second.ShardsTotal, 5u);
+  EXPECT_EQ(Second.ShardsRecovered, 1u);
   EXPECT_EQ(slurp(Dir + "/fleet.journal"), slurp(Ref));
 }
 
@@ -369,20 +404,30 @@ TEST(FleetCoordinatorTest, TornSpoolFilesQuarantinedNotFatal) {
   std::string Ref = Dir + "/ref.journal";
   writeReferenceJournal(fleetRequest(), Ref);
 
-  // A torn result, as a crashed coordinator would leave it
-  // (writeFileDurable makes this near-impossible, but the invariant must
-  // hold for any bytes on disk).  The .job file is what older
-  // coordinators wrote per shard: it is ignored and left in place.
+  // A journal whose last record is torn, as a kill mid-append leaves it:
+  // the tail is dropped with a warning and that record measured again.
+  std::string Journal = Dir + "/fleet.journal";
+  std::filesystem::copy_file(Ref, Journal);
+  truncateJournal(Journal, 9);
+  std::filesystem::resize_file(Journal,
+                               std::filesystem::file_size(Journal) - 20);
+
+  // What older coordinators kept in the spool — a plan manifest, shard
+  // tickets and shard results — is ignored and left in place.
+  std::ofstream(Dir + "/spool/fleet.plan") << "{\"type\":\"fleet_plan\"}\n";
   std::ofstream(Dir + "/spool/shard-000000.job") << "torn{";
   std::ofstream(Dir + "/spool/shard-000001.result") << "also torn";
 
   FleetReport Rep = FleetCoordinator(fleetOptions(Dir)).run();
   ASSERT_EQ(Rep.Status, FleetStatus::Completed) << Rep.Error.Message;
-  EXPECT_EQ(Rep.Warnings.size(), 1u);
-  EXPECT_TRUE(
-      std::filesystem::exists(Dir + "/spool/shard-000001.result.bad"));
+  ASSERT_EQ(Rep.Warnings.size(), 1u);
+  EXPECT_NE(Rep.Warnings[0].find("torn"), std::string::npos)
+      << Rep.Warnings[0];
+  EXPECT_EQ(Rep.ShardsRecovered, 4u); // 8 of the 9 records survived.
+  EXPECT_EQ(slurp(Journal), slurp(Ref));
+  EXPECT_EQ(slurp(Dir + "/spool/fleet.plan"), "{\"type\":\"fleet_plan\"}\n");
   EXPECT_EQ(slurp(Dir + "/spool/shard-000000.job"), "torn{");
-  EXPECT_EQ(slurp(Dir + "/fleet.journal"), slurp(Ref));
+  EXPECT_EQ(slurp(Dir + "/spool/shard-000001.result"), "also torn");
 }
 
 TEST(FleetCoordinatorTest, SpoolManifestPinsThePlan) {
@@ -390,13 +435,45 @@ TEST(FleetCoordinatorTest, SpoolManifestPinsThePlan) {
   std::filesystem::create_directories(Dir);
   FleetReport First = FleetCoordinator(fleetOptions(Dir, 8)).run();
   ASSERT_EQ(First.Status, FleetStatus::Completed) << First.Error.Message;
+  std::string Before = slurp(Dir + "/fleet.journal");
 
-  // Same spool, different request: refused, not silently spliced.
+  // Same journal, different request: refused, not silently spliced, and
+  // the journal keeps its bytes.
   FleetReport Second = FleetCoordinator(fleetOptions(Dir, 12)).run();
   ASSERT_EQ(Second.Status, FleetStatus::Error);
-  EXPECT_NE(Second.Error.Message.find("manifest"), std::string::npos)
+  EXPECT_NE(Second.Error.Message.find("different sweep"), std::string::npos)
       << Second.Error.Message;
+  EXPECT_EQ(slurp(Dir + "/fleet.journal"), Before);
 }
+
+#ifndef _WIN32
+TEST(FleetCoordinatorTest, FailedJournalAppendIsAnError) {
+  std::string Dir = tmpDir("append");
+  std::filesystem::create_directories(Dir);
+  // A child whose files may not grow past 1200 bytes: a shard journal (a
+  // header and two records) fits, and the fleet journal fails at its
+  // fourth record.  The driver goes on without the journal; the fleet,
+  // whose output it is, must end in an error.
+  pid_t Pid = fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit Limit{1200, 1200};
+    if (setrlimit(RLIMIT_FSIZE, &Limit) != 0)
+      _exit(2);
+    FleetReport Rep = FleetCoordinator(fleetOptions(Dir)).run();
+    _exit(Rep.Status == FleetStatus::Error &&
+                  Rep.Error.Message.find("incomplete") != std::string::npos
+              ? 0
+              : 1);
+  }
+  int Status = 0;
+  ASSERT_EQ(waitpid(Pid, &Status, 0), Pid);
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 0);
+  EXPECT_EQ(journalRecords(Dir + "/fleet.journal"), 3u);
+}
+#endif
 
 TEST(FleetCoordinatorTest, NoWorkersAndNoLocalIsAnError) {
   std::string Dir = tmpDir("nolocal");
@@ -509,6 +586,41 @@ TEST(FleetDistributedTest, DeadEndpointDegradesAndStillMatches) {
   EXPECT_EQ(slurp(Dir + "/fleet.journal"), slurp(Ref));
 }
 
+TEST(FleetDistributedTest, ShardJournalsAreKeyedByRange) {
+  if (!socketsSupported())
+    GTEST_SKIP() << "no sockets on this platform";
+  std::string Dir = tmpDir("range");
+  std::filesystem::create_directories(Dir);
+  InProcessWorker W(Dir + "/w");
+  ASSERT_TRUE(W.start());
+
+  TuneRequest Req = fleetRequest();
+  std::unique_ptr<TunableApp> App = makeServeApp(Req.App);
+  SearchEngine Eng(*App, makeServeMachine(Req.Machine));
+  SweepPlan Plan = planForRequest(Eng, Req, 1);
+  ShardRequest SReq;
+  SReq.Tune = Req;
+  SReq.PlanFp =
+      planFingerprint(fingerprintForRequest(*App, Eng, Plan, Req), Plan);
+
+  // Shard 0 at two shard sizes, as a coordinator restarted with another
+  // --shard-size sends it: the second must not resume the first's journal.
+  std::vector<std::string> Records;
+  for (uint64_t End : {8, 4}) {
+    SReq.End = End;
+    Expected<ServeClient> C = ServeClient::connect("", W.Server.port());
+    ASSERT_TRUE(C.ok()) << C.diag().Message;
+    Expected<ShardResult> R = C->runShard(SReq, 60);
+    ASSERT_TRUE(R.ok()) << "[0, " << End << "): " << R.diag().Message;
+    ASSERT_TRUE(R->completed()) << R->Error;
+    ASSERT_EQ(R->Records.size(), End);
+    if (Records.empty())
+      Records = R->Records;
+    for (size_t K = 0; K != End; ++K)
+      EXPECT_EQ(R->Records[K], Records[K]);
+  }
+}
+
 //===--- Chaos: SIGKILL a worker and the coordinator mid-sweep -----------------//
 
 TEST(FleetChaosTest, KillWorkerAndCoordinatorResumeByteIdentical) {
@@ -561,17 +673,9 @@ TEST(FleetChaosTest, KillWorkerAndCoordinatorResumeByteIdentical) {
   pid_t Coord = forkCoordinator();
   ASSERT_GT(Coord, 0);
 
-  // Wait until some shards are durable so both kills land mid-sweep.
-  auto resultCount = [&] {
-    std::error_code Ec;
-    uint64_t N = 0;
-    for (const auto &E :
-         std::filesystem::directory_iterator(Dir + "/spool", Ec))
-      if (E.path().extension() == ".result")
-        ++N;
-    return N;
-  };
-  ASSERT_TRUE(waitFor(60, [&] { return resultCount() >= 2; }))
+  // Wait until some records are journaled so both kills land mid-sweep.
+  std::string Journal = Dir + "/fleet.journal";
+  ASSERT_TRUE(waitFor(60, [&] { return journalRecords(Journal) >= 4; }))
       << "coordinator never made progress";
 
   // SIGKILL one worker, then the coordinator itself.
@@ -582,22 +686,23 @@ TEST(FleetChaosTest, KillWorkerAndCoordinatorResumeByteIdentical) {
   ASSERT_EQ(waitpid(Coord, &WStatus, 0), Coord);
   ASSERT_TRUE(WIFSIGNALED(WStatus));
 
-  // Restart the coordinator on the same spool with the surviving worker
-  // (and degraded-local as the backstop): it must resume only the
-  // unfinished shards and finish cleanly.
-  uint64_t AlreadyDurable = resultCount();
+  // Restart the coordinator on the same journal with the surviving worker
+  // (and degraded-local as the backstop): the shards wholly inside the
+  // journaled prefix are recovered, and the rest run again.
+  uint64_t AlreadyDurable = journalRecords(Journal);
   FleetOptions FO = fleetOptions(Dir, Budget);
   FO.Workers = {{Sock2, 0, "unix:" + Sock2}};
   FO.ShardTimeoutSeconds = 30;
+  uint64_t ShardSize = FO.ShardSize;
   FleetReport Rep = FleetCoordinator(std::move(FO)).run();
   ASSERT_EQ(Rep.Status, FleetStatus::Completed) << Rep.Error.Message;
-  EXPECT_EQ(Rep.ShardsRecovered, AlreadyDurable);
+  EXPECT_EQ(Rep.ShardsRecovered, AlreadyDurable / ShardSize);
   EXPECT_LT(Rep.ShardsRecovered, Rep.ShardsTotal)
       << "kill landed after the sweep finished; nothing was exercised";
 
   // The acceptance bar: byte-identical to the undisturbed single-driver
   // journal, SIGKILLs and all.
-  EXPECT_EQ(slurp(Dir + "/fleet.journal"), slurp(Ref));
+  EXPECT_EQ(slurp(Journal), slurp(Ref));
 
   kill(W2, SIGKILL);
   waitpid(W2, &WStatus, 0);

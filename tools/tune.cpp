@@ -47,7 +47,8 @@
 // 3 parse/verify failure, 4 evaluation failure (nothing could be
 // measured), 5 interrupted by SIGINT/SIGTERM (journal is resumable),
 // 6 `tune serve` force-quit by a second signal (spool is resumable),
-// 7 `tune fleet` failed to complete (its spool keeps partial shards).
+// 7 `tune fleet` failed to complete (its journal keeps the finished
+// prefix).
 // README.md has the consolidated table.
 //
 //   tune report <journal-or-csv> [--trace FILE] [--top N]
@@ -86,12 +87,12 @@
 //              [--workers ep1,ep2,...] ...
 //       Horizontal sharding across tune-serve daemons: partitions one
 //       deterministic sweep into shards, dispatches them to the workers,
-//       re-dispatches on worker death, hedges stragglers, degrades to
-//       in-process execution when no worker is healthy, and merges a
-//       journal byte-identical to a single-daemon run.  The coordinator
-//       keeps its own crash-safe spool, so a killed coordinator resumes
-//       only unfinished shards.  See fleet/Coordinator.h and DESIGN.md
-//       §13.
+//       re-dispatches on worker death, hedges stragglers, and degrades to
+//       in-process execution (shard journals under --spool) when no
+//       worker is healthy.  The SweepDriver journals the shards' records
+//       in plan order, so --journal is byte-identical to a single-daemon
+//       run, and a rerun resumes it like `tune search --resume`.  See
+//       fleet/Coordinator.h and DESIGN.md §13.
 //
 //===----------------------------------------------------------------------===//
 
@@ -146,7 +147,8 @@ enum ExitCode : int {
   ExitForcedShutdown = 6, ///< `tune serve` force-quit by a second signal;
                           ///< the spool resumes everything on restart.
   ExitFleetFailed = 7,    ///< `tune fleet` could not complete (setup or
-                          ///< merge failure); the spool keeps partial work.
+                          ///< journal failure); the journal keeps the
+                          ///< finished prefix.
 };
 
 int usage() {
@@ -599,11 +601,13 @@ int cmdServe(FlagMap Flags) {
 
 /// `tune fleet`: the horizontal-sharding coordinator (fleet/Coordinator.h).
 /// Partitions one deterministic sweep into shards, dispatches them to
-/// the --workers tune-serve daemons, survives worker and coordinator
-/// crashes via its own spool, and writes a merged journal byte-identical
-/// to a single-daemon run.  Exit 0 on completion (even degraded-local),
-/// 2 on a bad command line or unservable request (before any spool is
-/// made), 5 when interrupted (spool resumes), 7 on setup/merge failure.
+/// the --workers tune-serve daemons, and journals their records through
+/// the SweepDriver, byte-identical to a single-daemon run; an existing
+/// --journal is resumed, so a rerun survives worker and coordinator
+/// crashes.  Exit 0 on completion (even degraded-local), 2 on a bad
+/// command line or unservable request (before any spool is made), 5 when
+/// interrupted (a rerun resumes), 7 on a setup or journal failure
+/// (including a --journal of another request).
 int cmdFleet(FlagMap Flags) {
   FleetOptions FO;
   if (!requestFlags(Flags, FO.Request))
@@ -694,7 +698,7 @@ int cmdFleet(FlagMap Flags) {
     std::cout << "fleet: journal written to " << Flags["journal"] << "\n";
     return ExitOk;
   case FleetStatus::Interrupted:
-    std::cerr << "fleet: interrupted; rerun with the same --spool to "
+    std::cerr << "fleet: interrupted; rerun with the same --journal to "
                  "resume\n";
     return ExitInterrupted;
   case FleetStatus::Error:
