@@ -110,15 +110,18 @@ BENCHMARK(BM_ParetoFront)->Range(64, 16384)->Complexity();
 
 void BM_SimulateSmallMatMul(benchmark::State &State) {
   // One measurement at a reduced problem size, for the static/measured
-  // cost ratio.  Parameterized over the scheduler core: Arg(0) is the
-  // default event engine, Arg(1) the reference scan engine; the ratio of
-  // the two is the engine speedup on this kernel.
+  // cost ratio.  Parameterized over the engine selection: Arg(0) is the
+  // default (adaptive) engine, Arg(1) the Scan oracle, Arg(2) the forced
+  // event core; the ratio of the first two is the default engine's
+  // speedup on this kernel.
   MatMulApp App(MatMulProblem{128});
   Kernel K = App.buildKernel(exampleConfig());
   MachineModel M = MachineModel::geForce8800Gtx();
+  const SimOptions::Engine Engines[] = {SimOptions::Engine::Adaptive,
+                                        SimOptions::Engine::Scan,
+                                        SimOptions::Engine::Event};
   SimOptions Opts;
-  Opts.EngineSel = State.range(0) ? SimOptions::Engine::Scan
-                                  : SimOptions::Engine::Event;
+  Opts.EngineSel = Engines[State.range(0)];
   for (auto _ : State) {
     Expected<SimResult> R =
         simulateKernel(K, App.launch(exampleConfig()), M, Opts);
@@ -128,7 +131,8 @@ void BM_SimulateSmallMatMul(benchmark::State &State) {
 BENCHMARK(BM_SimulateSmallMatMul)
     ->Arg(0)
     ->Arg(1)
-    ->ArgName("scan");
+    ->Arg(2)
+    ->ArgName("engine");
 
 void BM_EmulateTinyMatMul(benchmark::State &State) {
   MatMulApp App(MatMulProblem{32});

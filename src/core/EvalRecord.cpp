@@ -132,8 +132,11 @@ std::vector<std::string> EvalRecord::csvHeader() {
 
 std::vector<std::string> EvalRecord::csvRow() const {
   std::string PointText;
-  for (size_t I = 0; I != Point.size(); ++I)
-    PointText += (I ? "," : "") + std::to_string(Point[I]);
+  for (size_t I = 0; I != Point.size(); ++I) {
+    if (I)
+      PointText += ',';
+    PointText += std::to_string(Point[I]);
+  }
   return {std::to_string(Index),
           PointText,
           Expressible ? "1" : "0",

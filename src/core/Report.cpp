@@ -24,13 +24,16 @@ Diagnostic reportError(std::string Msg) {
 
 std::string pointText(const std::vector<int> &Point) {
   std::string Out;
-  for (size_t I = 0; I != Point.size(); ++I)
-    Out += (I ? "," : "") + std::to_string(Point[I]);
+  for (size_t I = 0; I != Point.size(); ++I) {
+    if (I)
+      Out += ',';
+    Out += std::to_string(Point[I]);
+  }
   return Out;
 }
 
 std::string pointJson(const std::vector<int> &Point) {
-  return "[" + pointText(Point) + "]";
+  return std::string("[").append(pointText(Point)).append("]");
 }
 
 } // namespace
@@ -253,7 +256,8 @@ void g80::renderReportText(const SweepSummary &S, const TraceSummary *Trace,
     TextTable T;
     T.setHeader({"config", "point", "time", "cycles", "issue eff", "path"});
     for (const EvalRecord &R : S.Slowest)
-      T.addRow({"#" + std::to_string(R.Index), pointText(R.Point),
+      T.addRow({std::string("#").append(std::to_string(R.Index)),
+                pointText(R.Point),
                 fmtDouble(R.TimeSeconds * 1e3, 3) + " ms",
                 std::to_string(R.Cycles), fmtPercent(R.issueEfficiency()),
                 R.FastBw ? "fast-bw" : "sim"});

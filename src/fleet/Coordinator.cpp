@@ -484,8 +484,8 @@ FleetReport FleetCoordinator::run() {
   TraceSpan Span("fleet.run");
   FleetReport Rep;
 
-  if (M->Opts.SpoolDir.empty()) {
-    Rep.Error = fleetDiag("fleet mode requires a spool directory");
+  if (M->Opts.AllowLocal && M->Opts.SpoolDir.empty()) {
+    Rep.Error = fleetDiag("local execution requires a spool directory");
     return Rep;
   }
   if (M->Opts.JournalPath.empty()) {
@@ -507,7 +507,8 @@ FleetReport FleetCoordinator::run() {
   Rep.ShardsTotal = M->Partition.Shards.size();
 
   std::error_code Ec;
-  std::filesystem::create_directories(M->Opts.SpoolDir, Ec);
+  if (!M->Opts.SpoolDir.empty())
+    std::filesystem::create_directories(M->Opts.SpoolDir, Ec);
   if (Ec) {
     Rep.Error = fleetDiag("cannot create fleet spool '" + M->Opts.SpoolDir +
                           "': " + Ec.message());

@@ -87,7 +87,8 @@ struct FleetOptions {
   /// Remote workers.  May be empty: the coordinator then runs every
   /// shard in-process (AllowLocal must be true).
   std::vector<WorkerEndpoint> Workers;
-  /// Where shards run in-process keep their resume journals.
+  /// Where shards run in-process keep their resume journals; created
+  /// when given.  Only AllowLocal needs one.
   std::string SpoolDir;
   /// The fleet's journal: grows in plan order as the finished shards'
   /// contiguous prefix, and is resumed whenever it exists (one of

@@ -94,7 +94,8 @@ private:
   }
 
   static std::string regName(Reg R) {
-    return R.isValid() ? "r" + std::to_string(R.Id) : std::string("<none>");
+    return R.isValid() ? std::string("r").append(std::to_string(R.Id))
+                       : std::string("<none>");
   }
 
   void printOperand(const Operand &O) {

@@ -13,30 +13,48 @@
 // earliest-issue cycle) so scheduler decisions touch dense cache lines
 // instead of striding over per-warp structs.
 //
-// Two scheduler cores share that state (SimOptions::Engine):
+// Two scheduler cores share that state:
 //
-//  - Scan: the reference core.  Every issue slot round-robin-scans all
-//    resident warps from the warp after the last issuer and takes the
-//    first one whose cached StallUntil has arrived; when none can issue,
-//    a full rescan finds the minimum wake cycle and the clock jumps there.
+//  - Scan: every issue slot round-robin-scans all resident warps from the
+//    warp after the last issuer and takes the first one whose cached
+//    StallUntil has arrived.  A walk that finds none remembers the
+//    earliest StallUntil it passed, and the clock jumps there; only a walk
+//    that retired a warp (and so may have relaunched a block behind it)
+//    needs a second pass.
 //
-//  - Event (default): the same schedule computed without the scans.  The
-//    SM holds at most MaxThreadsPerSM/WarpSize = 24 resident warps, so
-//    warp sets are single 64-bit masks: warps with ready operands in
-//    ReadyM, warps needing a fetch/retire check in FetchM, and stalled
-//    warps in StalledM paired with their cached StallUntil plus the exact
-//    minimum (MinWake) — a two-level wake calendar.  Issue selection is
-//    one ctz over ReadyM|FetchM rotated to round-robin order; right after
-//    a warp issues, its next operand-ready time is resolved eagerly
-//    (fetch has no timing side effects) so the mask stays current; and
-//    when nothing is issueable the clock jumps straight to MinWake.
-//    Consecutive GlobalMem ops from the same warp are issued in one fused
-//    step that batches the sub-cycle memory-queue accounting into local
-//    accumulators, entered only when no other warp is ready, fetchable,
-//    or due to wake before the run would end.  On top of that, the event
-//    core detects exact steady-state periods of the whole SM at a loop
-//    anchor and replays them in O(state) instead of O(issues) — see the
-//    "Periodic steady-state fast-forward" section below.
+//  - Event: the same schedule computed without the scans.  The SM holds
+//    at most 64 resident warps (simulateKernel refuses more; every
+//    MachineModel factory stays under 40), so warp sets are single 64-bit
+//    masks: warps with ready operands in ReadyM, warps needing a
+//    fetch/retire check in FetchM, and stalled warps in StalledM paired
+//    with their cached StallUntil plus the exact minimum (MinWake) — a
+//    two-level wake calendar.  Issue selection is one ctz over
+//    ReadyM|FetchM rotated to round-robin order; right after a warp
+//    issues, its next operand-ready time is resolved eagerly (fetch has no
+//    timing side effects) so the mask stays current; and when nothing is
+//    issueable the clock jumps straight to MinWake.  Consecutive GlobalMem
+//    ops from the same warp are issued in one fused step that batches the
+//    sub-cycle memory-queue accounting into local accumulators, entered
+//    only when no other warp is ready, fetchable, or due to wake before
+//    the run would end.
+//
+// Both cores detect exact steady-state periods of the whole SM at a loop
+// anchor and replay them in O(state) instead of O(issues) — see the
+// "Periodic steady-state fast-forward" section below.
+//
+// Which core runs (SimOptions::Engine).  The event core's calendar upkeep
+// costs more per issue than the scan core's walk over a few warps, and it
+// pays off only when the SM idles long enough for its clock jumps to
+// replace many failed walks.  So every launch starts on the scan core
+// (Adaptive, the default), and after a warm-up of WarmupIssues issues it
+// converts once to the event core if the SM sat idle for at least
+// EventIdleShare of the cycles so far: saturated launches (SAD's short
+// blocks, cp's 1-thread blocks, most MRI) stay on scan, while
+// latency-bound ones (most large-tier matmul) switch.  The conversion
+// derives the masks from the scan core's cached StallUntil values; the
+// cores are bit-identical, so the switch is invisible in results.  Scan
+// selects the scan core without fast-forward — the mechanical oracle the
+// tests compare against — and Event forces the event core throughout.
 //
 // Soundness of the wake calendar: a warp's cached StallUntil is computed
 // from its own scoreboard only, and a warp's scoreboard entries are
@@ -68,10 +86,6 @@
 // FetchM and retires it when selection or the advance pass reaches it,
 // which is the same point the scan engine's walk would.
 //
-// A machine description with more than 64 resident warps per SM (no
-// modeled G80 part has more than 24) falls back to the scan core; the
-// engines are bit-identical, so the fallback is invisible in results.
-//
 //===----------------------------------------------------------------------===//
 
 #include "sim/Simulator.h"
@@ -80,6 +94,7 @@
 #include "ptx/ResourceEstimator.h"
 #include "ptx/StaticProfile.h"
 #include "sim/Trace.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 #include <cassert>
@@ -145,7 +160,7 @@ public:
 
     unsigned Slots = Occ.BlocksPerSM;
     NumWarps = Slots * Occ.WarpsPerBlock;
-    MasksValid = NumWarps <= 64;
+    assert(NumWarps <= MaxWarps && "warp masks need one bit per warp");
     Blocks.resize(Slots);
     WState.assign(NumWarps, WarpState::Finished);
     WPC.assign(NumWarps, 0);
@@ -163,13 +178,35 @@ public:
     }
   }
 
+  /// Resident warps the event core's single-word masks can hold.
+  static constexpr unsigned MaxWarps = 64;
+
   Expected<SimResult> run() {
-    return Opts.EngineSel == SimOptions::Engine::Event && MasksValid
-               ? runLoop</*EventDriven=*/true>()
-               : runLoop</*EventDriven=*/false>();
+    switch (Opts.EngineSel) {
+    case SimOptions::Engine::Adaptive:
+      SwitchCheckAt = WarmupIssues;
+      break;
+    case SimOptions::Engine::Event:
+      enterEventCore();
+      break;
+    case SimOptions::Engine::Scan:
+      PeriodEnabled = false; // The oracle stays purely mechanical.
+      break;
+    }
+    Expected<SimResult> R = EventCore ? runLoop</*EventDriven=*/true>()
+                                      : runLoop</*EventDriven=*/false>();
+    traceCount("sim.ff_skips", FFSkips);
+    traceCount("sim.event_core", EventCore ? 1 : 0);
+    return R;
   }
 
 private:
+  /// Adaptive engine: issues simulated on the scan core before the one
+  /// switch decision, and the idle share of the cycles so far at or above
+  /// which the launch moves to the event core.
+  static constexpr uint64_t WarmupIssues = 4096;
+  static constexpr double EventIdleShare = 0.4;
+
   template <bool EventDriven> Expected<SimResult> runLoop() {
     while (true) {
       bool Issued = EventDriven ? issueOneEvent() : issueOneScan();
@@ -193,25 +230,45 @@ private:
         return makeDiag(ErrorCode::SimulatorTimeout, Stage::Simulate,
                         "watchdog: exceeded the cycle budget of " +
                             std::to_string(Opts.MaxCycles) + " cycles");
+      if (!EventDriven && Res.IssuedWarpInstrs >= SwitchCheckAt) {
+        SwitchCheckAt = Never; // Decided once per launch.
+        if (double(Res.IssueStallCycles) >= EventIdleShare * double(Cycle)) {
+          enterEventCore();
+          return runLoop</*EventDriven=*/true>();
+        }
+      }
     }
     Res.Cycles = Cycle;
     Res.Seconds = Machine.cyclesToSeconds(static_cast<double>(Cycle));
     Res.Occ = Occ;
-#ifdef SIM_FF_STATS
-    if (EventDriven)
-      fprintf(stderr,
-              "FF trk=%d a0=%u s0=%u f0=%u a1=%u s1=%u f1=%u skips=%llu "
-              "skipped=%llu k0=%llu mism=%llu refill=%llu issued=%llu "
-              "cycles=%llu warps=%u\n",
-              NumTrk, Trk[0].AnchorPC, Trk[0].Seen, Trk[0].Fails,
-              Trk[1].AnchorPC, Trk[1].Seen, Trk[1].Fails,
-              (unsigned long long)FFSkips, (unsigned long long)FFSkipped,
-              (unsigned long long)FFMatchK0, (unsigned long long)FFMism,
-              (unsigned long long)FFRefill,
-              (unsigned long long)Res.IssuedWarpInstrs,
-              (unsigned long long)Cycle, NumWarps);
-#endif
     return Res;
+  }
+
+  /// Hands the launch to the event core: derives ReadyM, FetchM, StalledM
+  /// and MinWake from the cached StallUntil values, which the scan core
+  /// keeps exact for every Running warp (Never while a fetch is pending,
+  /// else the fetched op's earliest-issue cycle).  Also the event core's
+  /// starting state, where every launched warp awaits its first fetch.
+  /// The trackers start over, since the event core's snapshots carry its
+  /// masks and cannot match a scan-core snapshot.
+  void enterEventCore() {
+    ReadyM = FetchM = StalledM = 0;
+    MinWake = Never;
+    for (unsigned W = 0; W != NumWarps; ++W) {
+      if (WState[W] != WarpState::Running)
+        continue;
+      if (WStall[W] == Never)
+        FetchM |= bit(W);
+      else if (WStall[W] <= Cycle)
+        ReadyM |= bit(W);
+      else
+        markStalled(W, WStall[W]);
+    }
+    for (int I = 0; I != NumTrk; ++I) {
+      Trk[I].Have = false;
+      Trk[I].Seen = Trk[I].Fails = 0;
+    }
+    EventCore = true;
   }
 
   //===--- Trace decoding --------------------------------------------------//
@@ -401,14 +458,14 @@ private:
     analyzeRange(Begin, End, ReadyAt, Now, Prune);
   }
 
-  //===--- Periodic steady-state fast-forward (event engine) ----------------//
+  //===--- Periodic steady-state fast-forward ------------------------------//
   //
   // Loop-dominated kernels spend almost all simulated time replaying the
   // same warp-interleaved schedule: once every resident warp is inside the
   // hot loop, the whole SM's state recurs exactly — shifted in time and
-  // with loop trip counters decremented — every iteration.  The event
-  // engine exploits that: at an anchor (warp 0 selected to issue the first
-  // instruction of the hottest loop's body) it captures a canonical
+  // with loop trip counters decremented — every iteration.  Both cores
+  // exploit that: at an anchor (warp 0 about to issue the first
+  // instruction of the hottest loop's body) they capture a canonical
   // clock-relative snapshot of every state word that can influence future
   // scheduling.  When two anchor snapshots compare equal, the span between
   // them is a period, and by induction every subsequent period evolves
@@ -418,20 +475,26 @@ private:
   // instead of O(issues).
   //
   // Exactness, not approximation.  The snapshot covers PCs, warp states,
-  // loop depths, the scheduler masks and RRNext, pending (future)
-  // scoreboard timestamps and stall cycles relative to the clock, the
-  // memory-queue backlog, and per-block barrier/active counts.  Past
-  // timestamps canonicalize to zero: the transition function only ever
-  // compares them against the current or a later cycle, so any value at or
-  // below the clock behaves identically forever.  Loop trip counters and
-  // the block-launch budget are deliberately excluded (they are monotone,
-  // so they would never compare equal) and handled by periodBound(): K is
-  // capped so no counter crosses its loop exit, no in-period block
-  // relaunch runs out of queued blocks, and no watchdog budget is crossed
-  // — so loop exits, the launch tail, and even timeout diagnostics land on
-  // exactly the instruction they would have without the skip.  The scan
-  // engine never fast-forwards, which keeps it a purely mechanical
-  // reference: the differential suites verify the skip bit-for-bit.
+  // loop depths, RRNext, each warp's cached StallUntil (the event core
+  // adds its ready and fetch masks), pending (future) scoreboard
+  // timestamps relative to the clock, the memory-queue backlog, and
+  // per-block barrier/active counts.  Past timestamps canonicalize to
+  // zero: the transition function only ever compares them against the
+  // current or a later cycle, so any value at or below the clock behaves
+  // identically forever.  Loop trip counters and the block-launch budget
+  // are deliberately excluded (they are monotone, so they would never
+  // compare equal) and handled by periodBound(): K is capped so no counter
+  // crosses its loop exit, no in-period block relaunch runs out of queued
+  // blocks, and no watchdog budget is crossed — so loop exits, the launch
+  // tail, and even timeout diagnostics land on exactly the instruction
+  // they would have without the skip.  The Scan engine selection never
+  // fast-forwards, which keeps it a purely mechanical reference: the
+  // differential suites verify the skip bit-for-bit on both cores.
+  //
+  // Short blocks rarely recur: on SAD's 1-4-warp blocks the blocks of a
+  // wave relaunch at drifting offsets, so no two anchor snapshots of a
+  // whole run are equal, and the backoff below keeps the failed attempts
+  // cheap.
 
   /// Monotone counters sampled at an anchor; differences between two
   /// matching anchors are the per-period deltas applySkip() replays.
@@ -504,11 +567,12 @@ private:
                     std::vector<uint64_t> &Trips) {
     Canon.clear();
     Trips.clear();
-    Canon.push_back(ReadyM);
-    Canon.push_back(FetchM);
-    Canon.push_back(StalledM);
+    if (EventCore) {
+      // StalledM and MinWake follow from the per-warp stall words below.
+      Canon.push_back(ReadyM);
+      Canon.push_back(FetchM);
+    }
     Canon.push_back(RRNext);
-    Canon.push_back(MinWake == Never ? Never : MinWake - Cycle);
     uint64_t NowSub = Cycle << 16;
     Canon.push_back(MemFreeSub > NowSub ? MemFreeSub - NowSub : 0);
     for (const BlockCtx &B : Blocks) {
@@ -521,7 +585,7 @@ private:
       if (WState[W] == WarpState::Finished)
         continue;
       Canon.push_back(WLoopDepth[W]);
-      Canon.push_back((StalledM >> W) & 1 ? WStall[W] - Cycle : 0);
+      Canon.push_back(pendingStall(W));
       const uint64_t *R = regReady(W);
       for (unsigned J = 0; J != NumRegs; ++J)
         Canon.push_back(R[J] > Cycle ? R[J] - Cycle : 0);
@@ -529,6 +593,18 @@ private:
       for (unsigned D = 0; D != WLoopDepth[W]; ++D)
         Trips.push_back(L[D]);
     }
+  }
+
+  /// Canonical stall word of a live warp: the cycles until its cached
+  /// StallUntil arrives, 0 once it has (issueable, at or past the clock),
+  /// or Never while a fetch is pending.  The scan core keeps WStall exact
+  /// for every Running warp; the event core trusts it only for stalled
+  /// warps and tracks the rest in its masks.
+  uint64_t pendingStall(unsigned W) const {
+    if (EventCore)
+      return (StalledM >> W) & 1 ? WStall[W] - Cycle : 0;
+    uint64_t S = WStall[W];
+    return S == Never ? Never : S > Cycle ? S - Cycle : 0;
   }
 
   /// Largest K such that replaying K periods skips no loop exit, no
@@ -543,12 +619,8 @@ private:
       return 0;
     uint64_t K = Never;
     for (size_t I = 0; I != CurTrips.size(); ++I) {
-      if (CurTrips[I] > PrevTrips[I]) {
-#ifdef SIM_FF_STATS
-        ++FFRefill;
-#endif
+      if (CurTrips[I] > PrevTrips[I])
         return 0; // A counter refilled mid-period: not a steady orbit.
-      }
       uint64_t Dec = PrevTrips[I] - CurTrips[I];
       // Keep every decremented counter >= 1 so the first loop exit is
       // simulated live, exactly where it belongs.
@@ -587,7 +659,7 @@ private:
       for (unsigned J = 0; J != NumRegs; ++J)
         if (R[J] > Cycle)
           R[J] += Shift;
-      if ((StalledM >> W) & 1)
+      if (uint64_t P = pendingStall(W); P != 0 && P != Never)
         WStall[W] += Shift;
       uint64_t *L = loopStack(W);
       for (unsigned D = 0; D != WLoopDepth[W]; ++D, ++TripAt)
@@ -622,10 +694,7 @@ private:
     if (T.Have && CurCanon == T.Canon && CurTrips.size() == T.Trips.size()) {
       T.Fails = 0;
       if (uint64_t K = periodBound(T)) {
-#ifdef SIM_FF_STATS
         ++FFSkips;
-        FFSkipped += K;
-#endif
         applySkip(K, T);
         // The jump rewrote state; both trackers re-detect afresh.
         for (int I = 0; I != NumTrk; ++I)
@@ -634,19 +703,23 @@ private:
       }
       // Periodic, but nothing safely skippable (e.g. final iterations):
       // fall through and roll the snapshot forward.
-#ifdef SIM_FF_STATS
-      ++FFMatchK0;
-#endif
     } else if (T.Have) {
       ++T.Fails;
-#ifdef SIM_FF_STATS
-      ++FFMism;
-#endif
     }
     std::swap(T.Canon, CurCanon);
     std::swap(T.Trips, CurTrips);
     T.Prev = CurCnt;
     T.Have = true;
+  }
+
+  /// Warp 0 is about to issue (either core): tests for a period when its
+  /// PC sits on an anchor.
+  void atWarp0Issue() {
+    for (int T = 0; T != NumTrk; ++T)
+      if (Trk[T].AnchorPC == WPC[0]) {
+        attemptPeriodSkip(Trk[T]);
+        return;
+      }
   }
 
   //===--- Block lifecycle --------------------------------------------------//
@@ -671,8 +744,7 @@ private:
       WStall[Idx] = Never;
       // Relaunch reaches only Finished warps, whose Ready/Stalled bits
       // are clear; they re-enter scheduling through the fetch mask.
-      if (MasksValid)
-        FetchM |= bit(Idx);
+      FetchM |= bit(Idx);
       uint64_t *RegReady = regReady(Idx);
       std::fill(RegReady, RegReady + NumRegs, Cycle);
     }
@@ -739,8 +811,7 @@ private:
   //===--- Shared issue/retire ----------------------------------------------//
   void finishWarp(unsigned Idx) {
     WState[Idx] = WarpState::Finished;
-    if (MasksValid)
-      FetchM &= ~bit(Idx);
+    FetchM &= ~bit(Idx);
     BlockCtx &B = Blocks[WarpBlock[Idx]];
     assert(B.ActiveWarps > 0 && "warp finished in an empty block");
     if (--B.ActiveWarps == 0)
@@ -791,8 +862,7 @@ private:
         for (unsigned J = 0; J != B.NumWarps; ++J)
           if (WState[Base + J] == WarpState::AtBarrier) {
             WState[Base + J] = WarpState::Running;
-            if (MasksValid) // Released: StallUntil is Never.
-              FetchM |= bit(Base + J);
+            FetchM |= bit(Base + J); // Released: StallUntil is Never.
           }
       } else {
         WState[Idx] = WarpState::AtBarrier;
@@ -819,57 +889,65 @@ private:
   //===--- Scan engine ------------------------------------------------------//
   /// Tries to issue one instruction from any ready warp (round-robin from
   /// the warp after the last issuer — the §2.1 zero-overhead interleave).
-  /// Returns false if no warp can issue at the current cycle.
+  /// Returns false if no warp can issue at the current cycle, leaving the
+  /// earliest StallUntil it passed in WalkWake.  A Running warp's block is
+  /// always occupied (a block frees its slot only once all its warps have
+  /// finished), so the walk tests the warp state alone.
   bool issueOneScan() {
     unsigned N = NumWarps;
-    if (N == 0)
-      return false;
     unsigned Idx = RRNext;
+    WalkWake = Never;
+    WalkRetired = false;
     for (unsigned Step = 0; Step != N; ++Step) {
+      unsigned Next = Idx + 1 == N ? 0 : Idx + 1;
       if (WState[Idx] == WarpState::Running) {
-        if (Blocks[WarpBlock[Idx]].Occupied) {
-          if (WStall[Idx] == Never) {
-            if (!fetch(Idx)) {
-              finishWarp(Idx);
-              goto NextWarp;
-            }
-            WStall[Idx] = earliestIssue(Idx);
+        if (WStall[Idx] == Never) {
+          if (!fetch(Idx)) {
+            finishWarp(Idx);
+            WalkRetired = true;
+            Idx = Next;
+            continue;
           }
-          if (WStall[Idx] <= Cycle) {
-            issue</*EventDriven=*/false>(Idx);
-            RRNext = Idx + 1 == N ? 0 : Idx + 1;
-            return true;
-          }
+          WStall[Idx] = earliestIssue(Idx);
         }
+        if (WStall[Idx] <= Cycle) {
+          if (PeriodEnabled && Idx == 0)
+            atWarp0Issue();
+          issue</*EventDriven=*/false>(Idx);
+          RRNext = Next;
+          return true;
+        }
+        WalkWake = std::min(WalkWake, WStall[Idx]);
       }
-    NextWarp:
-      if (++Idx == N)
-        Idx = 0;
+      Idx = Next;
     }
     return false;
   }
 
   /// No warp was ready: jump to the earliest time one becomes ready.
   /// Returns false when no warp can ever become ready again — a deadlock
-  /// (barrier in divergent control flow or warp starvation).
+  /// (barrier in divergent control flow or warp starvation).  When the
+  /// failed walk retired no warp, it resolved every Running warp and
+  /// WalkWake is already the minimum; a retirement may have relaunched a
+  /// block behind the walk, whose warps this pass fetches in index order.
   bool advanceScan() {
-    uint64_t Next = Never;
-    for (unsigned Idx = 0; Idx != NumWarps; ++Idx) {
-      if (WState[Idx] != WarpState::Running)
-        continue;
-      if (!Blocks[WarpBlock[Idx]].Occupied)
-        continue;
-      if (WStall[Idx] == Never) {
-        if (!fetch(Idx)) {
-          // Retire exhausted warps here too so barrier counts stay exact.
-          finishWarp(Idx);
-          // A block launch may have made new warps ready right now.
-          Next = std::min(Next, Cycle);
+    uint64_t Next = WalkWake;
+    if (WalkRetired) {
+      for (unsigned Idx = 0; Idx != NumWarps; ++Idx) {
+        if (WState[Idx] != WarpState::Running)
           continue;
+        if (WStall[Idx] == Never) {
+          if (!fetch(Idx)) {
+            // Retire exhausted warps here too so barrier counts stay exact.
+            finishWarp(Idx);
+            // A block launch may have made new warps ready right now.
+            Next = std::min(Next, Cycle);
+            continue;
+          }
+          WStall[Idx] = earliestIssue(Idx);
         }
-        WStall[Idx] = earliestIssue(Idx);
+        Next = std::min(Next, WStall[Idx]);
       }
-      Next = std::min(Next, WStall[Idx]);
     }
     if (Next == Never)
       return false;
@@ -1050,11 +1128,7 @@ private:
           ReadyM |= bit(Idx);
         }
         if (PeriodEnabled && Idx == 0)
-          for (int T = 0; T != NumTrk; ++T)
-            if (Trk[T].AnchorPC == WPC[0]) {
-              attemptPeriodSkip(Trk[T]);
-              break;
-            }
+          atWarp0Issue();
         issueEventAt(Idx);
         RRNext = Idx + 1 == NumWarps ? 0 : Idx + 1;
         return true;
@@ -1131,30 +1205,35 @@ private:
   std::vector<uint64_t> LoopPool;      ///< NumWarps x MaxLoopDepth stacks.
   unsigned RRNext = 0;
 
-  // Event-engine scheduling state: single-word warp masks (valid only
-  // when NumWarps <= 64 — always, for any modeled G80 part; run() falls
-  // back to the bit-identical scan core otherwise).  Maintained by the
-  // shared block/barrier code under MasksValid so engine selection stays
-  // a per-run choice; the scan engine never reads them.
-  bool MasksValid = false;
+  // Scan-engine walk result, read by advanceScan() after a failed walk:
+  // the earliest StallUntil the walk passed, and whether it retired a warp
+  // (and so may have relaunched a block behind it).
+  uint64_t WalkWake = Never;
+  bool WalkRetired = false;
+
+  /// The event core runs (from the start, or since the adaptive switch).
+  bool EventCore = false;
+  // Event-engine scheduling state: single-word warp masks, at most
+  // MaxWarps warps.  The shared block/barrier code keeps FetchM current on
+  // either core; enterEventCore() rebuilds all four from WStall before the
+  // event core reads them.
   uint64_t ReadyM = 0;   ///< StallUntil <= Cycle.
   uint64_t FetchM = 0;   ///< StallUntil == Never (fetch/retire pending).
   uint64_t StalledM = 0; ///< Finite StallUntil > Cycle.
   uint64_t MinWake = Never; ///< Exact min StallUntil over StalledM.
+  /// Issues after which the adaptive engine decides whether to switch to
+  /// the event core; Never once decided, and for the fixed selections.
+  uint64_t SwitchCheckAt = Never;
 
-  // Periodic steady-state fast-forward (event engine only): see the
-  // comment block above selectAnchor().
+  // Periodic steady-state fast-forward (both cores unless the Scan oracle
+  // is selected): see the comment block above selectAnchor().
   bool PeriodEnabled = false;
   int NumTrk = 0;
   PeriodTracker Trk[2]; ///< [0] hottest-loop body, [1] trace start.
   PeriodCounters CurCnt;
   std::vector<uint64_t> CurCanon, CurTrips; ///< Reused capture buffers.
-#ifdef SIM_FF_STATS
-public:
-  mutable uint64_t FFSkips = 0, FFSkipped = 0, FFMatchK0 = 0, FFMism = 0,
-      FFRefill = 0;
-private:
-#endif
+  /// Skips applied, reported as the trace counter "sim.ff_skips".
+  uint64_t FFSkips = 0;
 
   uint64_t Cycle = 0;
   uint64_t MemFreeSub = 0; // Memory queue head, in 1/65536 cycles.
@@ -1174,6 +1253,11 @@ Expected<SimResult> g80::simulateKernel(const Kernel &K,
       Machine, Launch.threadsPerBlock(), Resources);
   if (!Occ)
     return Occ.takeDiag();
+  if (Occ->warpsPerSM() > SMSimulator::MaxWarps)
+    return makeDiag(ErrorCode::OccupancyInvalid, Stage::Simulate,
+                    "SM would hold " + std::to_string(Occ->warpsPerSM()) +
+                        " resident warps; the simulator models at most " +
+                        std::to_string(SMSimulator::MaxWarps));
 
   uint64_t TotalBlocks = Launch.numBlocks();
   if (TotalBlocks == 0) {

@@ -52,23 +52,30 @@ class Kernel;
 /// kernels come from mechanical sweeps, so a runaway variant must not take
 /// the whole search down with it.
 struct SimOptions {
-  /// Scheduler-core selection.  Both engines execute the same trace with
-  /// the same round-robin issue order and produce bit-identical SimResults
-  /// (asserted by tests/SimEngineTest.cpp and bench/sim_engine_perf); they
-  /// differ only in how the next issueable warp is found.
+  /// Scheduler-core selection.  Every engine executes the same trace with
+  /// the same round-robin issue order and produces bit-identical
+  /// SimResults (asserted by tests/SimEngineTest.cpp and
+  /// bench/sim_engine_perf); they differ only in how the next issueable
+  /// warp is found.  Nothing outside tests and benches picks one.
   enum class Engine : uint8_t {
-    /// Event-driven core (default): dense SoA warp state, a ready bitmask
-    /// scanned with ctz, and a wake calendar over the cached StallUntil
-    /// values so an all-stalled SM jumps the clock straight to the next
-    /// wake cycle.  The fast path.
+    /// Default: every launch starts on the scan core, with periodic
+    /// fast-forward, and after a fixed warm-up converts once to the event
+    /// core if the SM idled for a large share of it.  Saturated launches
+    /// stay on the cheaper scan walk; latency-bound ones get the clock
+    /// jumps.
+    Adaptive,
+    /// The event-driven core from the first issue: dense SoA warp state,
+    /// a ready bitmask scanned with ctz, and a wake calendar over the
+    /// cached StallUntil values so an all-stalled SM jumps the clock
+    /// straight to the next wake cycle, plus periodic fast-forward.
     Event,
-    /// The original round-robin scan over every resident warp per issue
-    /// slot.  Kept as the differential reference (tests/SimEngineTest.cpp,
-    /// bench/sim_engine_perf) and as the fallback above 64 resident warps.
+    /// The round-robin scan over every resident warp per issue slot,
+    /// without fast-forward: the mechanical differential reference
+    /// (tests/SimEngineTest.cpp, bench/sim_engine_perf).
     Scan,
   };
 
-  Engine EngineSel = Engine::Event;
+  Engine EngineSel = Engine::Adaptive;
 
   /// Watchdog cap on issued warp instructions.
   uint64_t MaxIssues = 1ull << 33;
@@ -121,6 +128,9 @@ struct SimResult {
 /// Failure diagnostics (all Stage Simulate unless noted):
 ///  - OccupancyInvalid (Stage Occupancy): the kernel cannot launch — the
 ///    paper's "invalid executable" outcome;
+///  - OccupancyInvalid: the SM would hold more than 64 resident warps,
+///    more than the simulator's warp masks hold (no MachineModel factory
+///    comes close);
 ///  - SimulatorTimeout: a watchdog budget (MaxCycles/MaxIssues) ran out;
 ///  - SimulatorDeadlock: no resident warp can ever become ready again
 ///    while blocks are unfinished — e.g. a barrier in divergent control

@@ -19,11 +19,12 @@
 ///    the ground-truth simulation agree about loop overhead.
 ///
 /// The trace program is the determinism contract between the simulator's
-/// two scheduler cores (SimOptions::Engine::Scan and ::Event): both
-/// execute exactly this entry sequence per warp, so any pair of runs over
-/// the same TraceProgram and launch must produce bit-identical SimResults
+/// two scheduler cores (scan and event, SimOptions::Engine): both execute
+/// exactly this entry sequence per warp, so any pair of runs over the same
+/// TraceProgram and launch must produce bit-identical SimResults
 /// regardless of engine.  Anything that varies per-engine (ready masks,
-/// wake calendars, period snapshots) lives in the simulator, never here.
+/// wake calendars, period snapshots, the switch between cores) lives in
+/// the simulator, never here.
 ///
 //===----------------------------------------------------------------------===//
 

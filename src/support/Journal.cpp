@@ -190,9 +190,9 @@ JournalWriter::~JournalWriter() { close(); }
 
 void g80::fsyncParentDir(const std::string &Path) {
   size_t Slash = Path.find_last_of('/');
-  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
-  if (Dir.empty())
-    Dir = "/";
+  std::string Dir = Slash == std::string::npos ? std::string(".")
+                    : Slash == 0               ? std::string("/")
+                                               : Path.substr(0, Slash);
   int Fd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (Fd < 0)
     return;

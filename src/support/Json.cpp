@@ -120,7 +120,8 @@ namespace {
 /// after the colon (up to the end of \p Obj).
 bool fieldTail(std::string_view Obj, std::string_view Key,
                std::string_view &Tail) {
-  std::string Needle = "\"" + std::string(Key) + "\":";
+  std::string Needle(1, '"');
+  Needle.append(Key).append("\":");
   size_t Pos = Obj.find(Needle);
   if (Pos == std::string_view::npos)
     return false;

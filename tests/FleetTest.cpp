@@ -586,6 +586,37 @@ TEST(FleetDistributedTest, DeadEndpointDegradesAndStillMatches) {
   EXPECT_EQ(slurp(Dir + "/fleet.journal"), slurp(Ref));
 }
 
+TEST(FleetDistributedTest, WorkerOnlyFleetNeedsNoSpool) {
+  if (!socketsSupported())
+    GTEST_SKIP() << "no sockets on this platform";
+  std::string Dir = tmpDir("nospool");
+  std::filesystem::create_directories(Dir);
+  std::string Ref = Dir + "/ref.journal";
+  writeReferenceJournal(fleetRequest(), Ref);
+  InProcessWorker W(Dir + "/w");
+  ASSERT_TRUE(W.start());
+
+  // Only shards run in-process write to the spool, so a worker-only
+  // fleet runs without one (`tune fleet --no-local` passes none).
+  FleetOptions FO = fleetOptions(Dir);
+  FO.SpoolDir.clear();
+  FO.AllowLocal = false;
+  FO.Workers = {W.endpoint()};
+  FleetReport Remote = FleetCoordinator(std::move(FO)).run();
+  ASSERT_EQ(Remote.Status, FleetStatus::Completed) << Remote.Error.Message;
+  EXPECT_EQ(Remote.LocalShards, 0u);
+  EXPECT_EQ(slurp(Dir + "/fleet.journal"), slurp(Ref));
+  EXPECT_FALSE(std::filesystem::exists(Dir + "/spool"));
+
+  // Local execution still needs one.
+  FleetOptions Local = fleetOptions(Dir);
+  Local.SpoolDir.clear();
+  FleetReport Rep = FleetCoordinator(std::move(Local)).run();
+  EXPECT_EQ(Rep.Status, FleetStatus::Error);
+  EXPECT_NE(Rep.Error.Message.find("spool"), std::string::npos)
+      << Rep.Error.Message;
+}
+
 TEST(FleetDistributedTest, ShardJournalsAreKeyedByRange) {
   if (!socketsSupported())
     GTEST_SKIP() << "no sockets on this platform";

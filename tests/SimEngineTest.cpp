@@ -4,12 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The two scheduler cores (SimOptions::Engine::Scan and ::Event) must be
-// bit-identical: same cycles, same issue/stall/memwait statistics, same
-// diagnostics, same journal bytes.  The scan core is the mechanical
-// reference; everything the event core does to go fast — the ready
-// bitmask, the wake calendar's clock jumps, fused memory runs, and the
-// periodic steady-state fast-forward — must be invisible in results.
+// The engine selections (SimOptions::Engine::Adaptive, the default, and
+// ::Event against the ::Scan oracle) must be bit-identical: same cycles,
+// same issue/stall/memwait statistics, same diagnostics, same journal
+// bytes.  The Scan selection is the mechanical reference; everything the
+// other two do to go fast — the periodic steady-state fast-forward on
+// either core, the adaptive switch from scan to event core, the ready
+// bitmask, the wake calendar's clock jumps, and fused memory runs — must
+// be invisible in results.
 // This suite hammers that contract with deterministic fuzzed traces
 // (random latency-class mixes, loop nests, barriers, divergent barriers,
 // occupancy shapes), the apps' emulation spaces, watchdog-budget edges,
@@ -30,6 +32,7 @@
 #include "ptx/Builder.h"
 #include "ptx/Parser.h"
 #include "support/Journal.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -72,17 +75,39 @@ std::string outcome(const Expected<SimResult> &R) {
          " bsm=" + std::to_string(R->Occ.BlocksPerSM);
 }
 
-/// Compares one simulation under both engines, including failure
-/// diagnostics (timeout/deadlock/occupancy must match code and message).
-/// Returns the scan engine's outcome.
+/// Compares one simulation under the default engine and the forced event
+/// core against the Scan oracle, including failure diagnostics
+/// (timeout/deadlock/occupancy must match code and message).  Returns the
+/// oracle's outcome.  \p DefaultTrace, when given, is installed around
+/// the default run alone, so its sim.* counters count default launches.
 std::string expectEnginesIdentical(const Kernel &K, const LaunchConfig &L,
-                                   SimOptions Base = {}) {
-  SimOptions ScanO = Base, EventO = Base;
-  ScanO.EngineSel = SimOptions::Engine::Scan;
-  EventO.EngineSel = SimOptions::Engine::Event;
-  std::string Scan = outcome(simulateKernel(K, L, gtx(), ScanO));
-  EXPECT_EQ(Scan, outcome(simulateKernel(K, L, gtx(), EventO)));
+                                   SimOptions Base = {},
+                                   Tracer *DefaultTrace = nullptr) {
+  auto Run = [&](SimOptions::Engine E) {
+    SimOptions O = Base;
+    O.EngineSel = E;
+    return outcome(simulateKernel(K, L, gtx(), O));
+  };
+  std::string Scan = Run(SimOptions::Engine::Scan);
+  {
+    ScopedTracer Install(DefaultTrace);
+    EXPECT_EQ(Scan, Run(SimOptions::Engine::Adaptive)) << "default engine";
+  }
+  EXPECT_EQ(Scan, Run(SimOptions::Engine::Event)) << "event engine";
   return Scan;
+}
+
+std::string tmpPath(const char *Name) {
+  std::string Path = testing::TempDir() + "g80_engine_" + Name + ".jsonl";
+  std::remove(Path.c_str());
+  return Path;
+}
+
+/// A tracer whose counters tell which paths the default engine took.
+Tracer counterTracer(const char *Name) {
+  Expected<Tracer> T = Tracer::toFile(tmpPath(Name));
+  EXPECT_TRUE(T.ok());
+  return std::move(*T);
 }
 
 /// Emits a random body: ALU/SFU chains, shared/const/tex/global accesses
@@ -167,25 +192,32 @@ LaunchConfig fuzzLaunch(Rng &R) {
 
 //===--- Engine contract -------------------------------------------------===//
 
-TEST(SimEngine, DefaultEngineIsEvent) {
-  EXPECT_EQ(SimOptions{}.EngineSel, SimOptions::Engine::Event);
+TEST(SimEngine, DefaultEngineIsAdaptive) {
+  EXPECT_EQ(SimOptions{}.EngineSel, SimOptions::Engine::Adaptive);
 }
 
 TEST(SimEngine, FuzzedTracesBitIdentical) {
-  // Both engines read the same statically pruned scoreboard lists, so
+  // All engines read the same statically pruned scoreboard lists, so
   // agreeing with each other cannot catch a pruning bug.  The digest of
   // all 200 outcomes is pinned, so a pruning change that moves any of
   // their results fails here; the corpus has loop-carried definitions and
   // nested loops for the loop-head fixpoint to get wrong.
+  Tracer T = counterTracer("fuzz_trace");
   Rng R(0x9e3779b97f4a7c15ull);
   std::string All;
   for (int Case = 0; Case != 200; ++Case) {
     Kernel K = fuzzKernel(R, /*AllowDivergentBar=*/false);
     LaunchConfig L = fuzzLaunch(R);
     SCOPED_TRACE("fuzz case " + std::to_string(Case));
-    All += expectEnginesIdentical(K, L) + "\n";
+    All += expectEnginesIdentical(K, L, {}, &T) + "\n";
   }
   EXPECT_EQ(fnv1a64(All), 0xcb2a57eaf3340cf9ull);
+  // The default engine took both sides of its switch, and fast-forwarded
+  // on the way, so the corpus checks the conversion and the skip.
+  uint64_t Switched = T.counterValue("sim.event_core");
+  EXPECT_GT(Switched, 0u);
+  EXPECT_LT(Switched, 200u);
+  EXPECT_GT(T.counterValue("sim.ff_skips"), 0u);
 }
 
 TEST(SimEngine, DivergentBarrierDeadlocksIdentically) {
@@ -272,11 +304,15 @@ TEST(SimEngine, LargeTierResultsPinned) {
   // Unrolled large-tier kernels are where static operand pruning has the
   // most to prune: cp [2,16,16,8,128,1] is the largest trace in any space
   // (68,436 ops, 51,920 registers).  Pinned like the fuzz digest, at the
-  // committed problem sizes.
+  // committed problem sizes.  Two pins also fix the default engine's core
+  // choice: cp [1,1,4,4,16,1] (1-thread blocks, issue port saturated)
+  // stays on the scan core, and matmul [2,1,1,1,0,0] (idle 77% of its
+  // cycles) switches to the event core.
   const struct {
     const char *App;
     ConfigPoint P;
     const char *Outcome;
+    int EventCore = -1; ///< sim.event_core of the default run; -1: any.
   } Pins[] = {
       {"matmul", {16, 2, 2, 16, 1, 1},
        "cycles=2571632 issued=594176 synth=12288 stall=194928 "
@@ -284,6 +320,10 @@ TEST(SimEngine, LargeTierResultsPinned) {
       {"matmul", {4, 4, 8, 2, 1, 2},
        "cycles=13146130 issued=908384 synth=36864 stall=9512594 "
        "memwait=1236750064 blocks=32 bsm=8"},
+      {"matmul", {2, 1, 1, 1, 0, 0},
+       "cycles=537918650 issued=30494720 synth=9437184 stall=415939770 "
+       "memwait=6615658820 blocks=4096 bsm=8",
+       1},
       {"cp", {8, 4, 4, 8, 128, 1},
        "cycles=4296500 issued=303640 synth=48 stall=2295508 "
        "memwait=278936 blocks=4 bsm=3"},
@@ -293,6 +333,10 @@ TEST(SimEngine, LargeTierResultsPinned) {
       {"cp", {2, 16, 16, 8, 128, 1},
        "cycles=7490268 issued=272734 synth=12 stall=5612900 "
        "memwait=2023168 blocks=1 bsm=1"},
+      {"cp", {1, 1, 4, 4, 16, 1},
+       "cycles=65211496 issued=10011136 synth=24576 stall=1128 "
+       "memwait=54797552 blocks=256 bsm=8",
+       0},
       {"sad", {32, 8, 2, 4, 4},
        "cycles=900970 issued=190720 synth=3072 stall=138090 "
        "memwait=155212 blocks=256 bsm=8"},
@@ -303,32 +347,42 @@ TEST(SimEngine, LargeTierResultsPinned) {
        "cycles=1454188 issued=265024 synth=1536 stall=876 "
        "memwait=144448 blocks=8 bsm=2"},
   };
+  Tracer T = counterTracer("large_trace");
   for (const auto &Pin : Pins) {
     std::unique_ptr<TunableApp> App = largeApp(Pin.App);
     SCOPED_TRACE(std::string(Pin.App) + " " + App->space().describe(Pin.P));
     ASSERT_TRUE(App->isExpressible(Pin.P));
+    uint64_t Before = T.counterValue("sim.event_core");
     EXPECT_EQ(expectEnginesIdentical(App->buildKernel(Pin.P),
-                                     App->launch(Pin.P)),
+                                     App->launch(Pin.P), {}, &T),
               Pin.Outcome);
+    if (Pin.EventCore >= 0) {
+      EXPECT_EQ(T.counterValue("sim.event_core") - Before,
+                uint64_t(Pin.EventCore));
+    }
   }
 }
 
-TEST(SimEngine, MatMulEmulationSpaceBitIdentical) {
-  MatMulApp App(MatMulProblem::emulation());
+void expectSpaceBitIdentical(const TunableApp &App) {
   for (const ConfigPoint &P : App.space().enumerate()) {
     if (!App.isExpressible(P))
       continue;
+    SCOPED_TRACE(App.space().describe(P));
     expectEnginesIdentical(App.buildKernel(P), App.launch(P));
   }
 }
 
-//===--- Whole-sweep identity --------------------------------------------===//
-
-std::string tmpPath(const char *Name) {
-  std::string Path = testing::TempDir() + "g80_engine_" + Name + ".jsonl";
-  std::remove(Path.c_str());
-  return Path;
+TEST(SimEngine, MatMulEmulationSpaceBitIdentical) {
+  expectSpaceBitIdentical(MatMulApp(MatMulProblem::emulation()));
 }
+
+TEST(SimEngine, CpSadMriEmulationSpacesBitIdentical) {
+  expectSpaceBitIdentical(CpApp(CpProblem::emulation()));
+  expectSpaceBitIdentical(SadApp(SadApp::emulationProblem()));
+  expectSpaceBitIdentical(MriFhdApp(MriProblem::emulation()));
+}
+
+//===--- Whole-sweep identity --------------------------------------------===//
 
 std::string slurp(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
@@ -337,9 +391,9 @@ std::string slurp(const std::string &Path) {
 }
 
 TEST(SimEngine, JournalBytesEngineInvariant) {
-  // A full exhaustive sweep journals byte-identically under either
-  // engine: engine selection can never leak into recorded results, which
-  // is why it stays out of the journal fingerprint (tools/tune.cpp).
+  // A full exhaustive sweep journals byte-identically under every engine
+  // selection: it can never leak into recorded results, which is why it
+  // stays out of the journal fingerprint (tools/tune.cpp).
   MatMulApp App(MatMulProblem::emulation());
   auto RunWith = [&](SimOptions::Engine Eng, const std::string &Path) {
     SimOptions SimO;
@@ -359,8 +413,11 @@ TEST(SimEngine, JournalBytesEngineInvariant) {
       RunWith(SimOptions::Engine::Scan, tmpPath("scan"));
   std::string EventBytes =
       RunWith(SimOptions::Engine::Event, tmpPath("event"));
+  std::string AdaptiveBytes =
+      RunWith(SimOptions::Engine::Adaptive, tmpPath("adaptive"));
   ASSERT_FALSE(ScanBytes.empty());
   EXPECT_EQ(ScanBytes, EventBytes);
+  EXPECT_EQ(ScanBytes, AdaptiveBytes);
 }
 
 } // namespace

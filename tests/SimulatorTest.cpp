@@ -7,6 +7,7 @@
 #include "sim/Simulator.h"
 
 #include "ptx/Builder.h"
+#include "ptx/ResourceEstimator.h"
 #include "sim/Trace.h"
 
 #include <gtest/gtest.h>
@@ -144,6 +145,47 @@ TEST(Simulator, InvalidOccupancyReported) {
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.diag().Code, ErrorCode::OccupancyInvalid);
   EXPECT_EQ(R.diag().At, Stage::Occupancy);
+}
+
+TEST(Simulator, MoreThan64ResidentWarpsRefused) {
+  // The scheduler keeps warp sets in 64-bit masks, so a machine whose SM
+  // would hold 128 warps is refused before anything is simulated.
+  MachineModel Big = gtx();
+  Big.MaxThreadsPerSM = 4096;
+  Big.MaxBlocksPerSM = 16;
+  Big.RegistersPerSM = 1 << 20;
+  Big.SharedMemPerSMBytes = 1 << 20;
+  Kernel K = makeAluKernel(1, 1);
+  Expected<SimResult> R =
+      simulateKernel(K, LaunchConfig(Dim3(64), Dim3(256)), Big);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.diag().Code, ErrorCode::OccupancyInvalid);
+  EXPECT_EQ(R.diag().At, Stage::Simulate);
+  EXPECT_EQ(R.diag().Message, "SM would hold 128 resident warps; the "
+                              "simulator models at most 64");
+
+  // No factory machine comes near: at every block size, even a kernel
+  // using no registers or shared memory fits in 64 warps, and this
+  // kernel's fullest residency simulates.
+  const MachineModel Factories[] = {gtx(), MachineModel::hypotheticalNextGen(),
+                                    MachineModel::testDevice()};
+  for (const MachineModel &M : Factories) {
+    SCOPED_TRACE(M.Name);
+    KernelResources Used = estimateResources(K, M);
+    unsigned FullestTpb = 1, FullestWarps = 0;
+    for (unsigned Tpb = 1; Tpb <= M.MaxThreadsPerBlock; ++Tpb) {
+      EXPECT_LE(computeOccupancy(M, Tpb, {}).warpsPerSM(), 64u);
+      unsigned Warps = computeOccupancy(M, Tpb, Used).warpsPerSM();
+      if (Warps > FullestWarps) {
+        FullestWarps = Warps;
+        FullestTpb = Tpb;
+      }
+    }
+    LaunchConfig Fullest(Dim3(M.NumSMs * M.MaxBlocksPerSM), Dim3(FullestTpb));
+    Expected<SimResult> Sim = simulateKernel(K, Fullest, M);
+    ASSERT_TRUE(Sim.ok()) << Sim.diag().Message;
+    EXPECT_EQ(Sim->Occ.warpsPerSM(), FullestWarps);
+  }
 }
 
 TEST(Simulator, EmptyGridIsZeroTime) {

@@ -89,10 +89,11 @@
 //       deterministic sweep into shards, dispatches them to the workers,
 //       re-dispatches on worker death, hedges stragglers, and degrades to
 //       in-process execution (shard journals under --spool) when no
-//       worker is healthy.  The SweepDriver journals the shards' records
-//       in plan order, so --journal is byte-identical to a single-daemon
-//       run, and a rerun resumes it like `tune search --resume`.  See
-//       fleet/Coordinator.h and DESIGN.md §13.
+//       worker is healthy.  With --no-local nothing runs in-process, so
+//       --spool is optional and never created.  The SweepDriver journals
+//       the shards' records in plan order, so --journal is byte-identical
+//       to a single-daemon run, and a rerun resumes it like `tune search
+//       --resume`.  See fleet/Coordinator.h and DESIGN.md §13.
 //
 //===----------------------------------------------------------------------===//
 
@@ -176,7 +177,7 @@ int usage() {
          "  tune serve   --spool DIR [--socket PATH | --tcp-port N]\n"
          "               [--queue-limit N] [--executors N] [--jobs N] "
          "[--trace FILE.jsonl]\n"
-         "  tune fleet   --app <name> --spool DIR --journal FILE\n"
+         "  tune fleet   --app <name> --journal FILE [--spool DIR]\n"
          "               [--workers ep1,ep2,...] [--machine gtx|nextgen]\n"
          "               [--strategy pareto|exhaustive|cluster|random]\n"
          "               [--space small|large] [--seed N] [--budget N] "
@@ -612,11 +613,15 @@ int cmdFleet(FlagMap Flags) {
   FleetOptions FO;
   if (!requestFlags(Flags, FO.Request))
     return usage();
-  if (!Flags.count("spool")) {
-    std::cerr << "error: tune fleet needs --spool DIR\n";
+  // Only shards run in-process write to the spool, so a worker-only
+  // fleet neither needs nor creates one.
+  FO.AllowLocal = Flags.count("no-local") == 0;
+  if (FO.AllowLocal && !Flags.count("spool")) {
+    std::cerr << "error: tune fleet needs --spool DIR (or --no-local)\n";
     return usage();
   }
-  FO.SpoolDir = Flags["spool"];
+  if (FO.AllowLocal)
+    FO.SpoolDir = Flags["spool"];
   if (!Flags.count("journal")) {
     std::cerr << "error: tune fleet needs --journal FILE\n";
     return usage();
@@ -637,7 +642,6 @@ int cmdFleet(FlagMap Flags) {
     return usage();
   }
   FO.Jobs = unsigned(Jobs);
-  FO.AllowLocal = Flags.count("no-local") == 0;
   if (Flags.count("workers")) {
     Expected<std::vector<WorkerEndpoint>> W = parseWorkerList(Flags["workers"]);
     if (!W) {
